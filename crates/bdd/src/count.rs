@@ -17,17 +17,17 @@ impl BddManager {
     /// of an approximation: `|f ⊕ g| / 2^n`.
     ///
     /// The recursion memo is owned by the manager and reused across calls
-    /// (cleared, not reallocated) through a `RefCell`, so counting is a
-    /// `&self` query — read-only analyses work on a shared manager.
-    pub fn sat_count(&self, f: Bdd) -> u64 {
-        let mut memo = self.count_memo.borrow_mut();
+    /// (cleared, not reallocated), which is why counting takes `&mut self`.
+    pub fn sat_count(&mut self, f: Bdd) -> u64 {
+        let mut memo = std::mem::take(&mut self.count_memo);
         memo.clear();
         let total = self.count_edge(f, 0, &mut memo);
+        self.count_memo = memo;
         u64::try_from(total).unwrap_or(u64::MAX)
     }
 
     /// Fraction of the 2^n minterms on which `f` is 1.
-    pub fn density(&self, f: Bdd) -> f64 {
+    pub fn density(&mut self, f: Bdd) -> f64 {
         self.sat_count(f) as f64 / (1u128 << self.num_vars()) as f64
     }
 

@@ -17,11 +17,6 @@
 //!   Rudell-style sifting ([`BddManager::sift`], [`BddManager::maybe_sift`],
 //!   tuned via [`SiftConfig`]), and FORCE-style static-order seeding over
 //!   cube covers ([`force_order`] + [`BddManager::set_order`]),
-//! * **concurrent shared manager**: [`SharedManager`] + [`WorkerCtx`] — one
-//!   sharded, mutex-striped node store served through `&self` to any number
-//!   of worker threads (lock-free reads, per-worker operation caches), with
-//!   [`BddOps`] abstracting the operation surface the decomposition stack
-//!   needs so every algorithm runs on either manager unchanged,
 //! * per-variable open-addressed, power-of-two hash-consing unique subtables
 //!   with strict ROBDD reduction invariants (tombstone-free backward-shift
 //!   deletion, load-factor-driven rehash),
@@ -64,13 +59,9 @@ mod error;
 mod isop;
 mod manager;
 mod memo;
-mod ops;
 mod order;
 mod quant;
-mod shared;
 
 pub use error::BddError;
 pub use manager::{Bdd, BddManager, CacheStats, SiftConfig};
-pub use ops::BddOps;
 pub use order::force_order;
-pub use shared::{SharedManager, WorkerCtx, SHARDS};

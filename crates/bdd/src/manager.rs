@@ -31,12 +31,12 @@ impl Bdd {
     }
 
     /// The same node with the complement flag flipped (`¬f`).
-    pub(crate) fn complemented(self) -> Bdd {
+    fn complemented(self) -> Bdd {
         Bdd(self.0 ^ 1)
     }
 
     /// The regular (uncomplemented) edge to the same node.
-    pub(crate) fn regular(self) -> Bdd {
+    fn regular(self) -> Bdd {
         Bdd(self.0 & !1)
     }
 }
@@ -55,10 +55,10 @@ pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 const FREE_VAR: u32 = u32::MAX - 1;
 
 /// The constant-1 function: the regular edge to the terminal node.
-pub(crate) const ONE: Bdd = Bdd(0);
+const ONE: Bdd = Bdd(0);
 
 /// The constant-0 function: the complemented edge to the terminal node.
-pub(crate) const ZERO: Bdd = Bdd(1);
+const ZERO: Bdd = Bdd(1);
 
 /// Empty slot marker of the per-variable unique subtables.
 const EMPTY: u32 = u32::MAX;
@@ -71,24 +71,24 @@ const INVALID: u32 = u32::MAX;
 const MIN_SUBTABLE: usize = 1 << 4;
 
 /// Smallest size of the operation caches (slots).
-pub(crate) const MIN_TABLE: usize = 1 << 10;
+const MIN_TABLE: usize = 1 << 10;
 
 /// The operation caches stop growing at this many entries; the unique
 /// subtables keep growing with the node count (they must, to stay below their
 /// load factor), but a lossy cache larger than this stops paying for itself.
-pub(crate) const MAX_CACHE: usize = 1 << 22;
+const MAX_CACHE: usize = 1 << 22;
 
 /// Tags of the two cached binary operations sharing the apply cache. With
 /// complement edges every other binary operation is a constant-time rewrite
 /// into these two (De Morgan plus free negation), so caching more would only
 /// dilute the cache.
-pub(crate) const OP_AND: u8 = 0;
-pub(crate) const OP_XOR: u8 = 1;
+const OP_AND: u8 = 0;
+const OP_XOR: u8 = 1;
 
 /// xxhash/SplitMix-style avalanche of a 64-bit word; cheap and good enough to
 /// spread consecutive node ids across power-of-two tables.
 #[inline]
-pub(crate) fn avalanche(mut z: u64) -> u64 {
+fn avalanche(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -96,14 +96,14 @@ pub(crate) fn avalanche(mut z: u64) -> u64 {
 
 /// Hash of an `(a, b)` key — subtable node keys and binary cache keys.
 #[inline]
-pub(crate) fn hash2(a: u32, b: u32) -> u64 {
+fn hash2(a: u32, b: u32) -> u64 {
     let packed = (u64::from(a) << 32) | u64::from(b);
     avalanche(packed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Hash of an `(a, b, c)` key — ternary cache keys.
 #[inline]
-pub(crate) fn hash3(a: u32, b: u32, c: u32) -> u64 {
+fn hash3(a: u32, b: u32, c: u32) -> u64 {
     let packed = (u64::from(a) << 42) ^ (u64::from(b) << 21) ^ u64::from(c);
     avalanche(packed.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
@@ -256,16 +256,16 @@ impl SubTable {
 /// older generations are stale, which makes clearing the cache an O(1)
 /// counter bump instead of a multi-megabyte fill.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ApplyEntry {
-    pub(crate) op: u8,
-    pub(crate) f: u32,
-    pub(crate) g: u32,
-    pub(crate) result: u32,
-    pub(crate) gen: u32,
+struct ApplyEntry {
+    op: u8,
+    f: u32,
+    g: u32,
+    result: u32,
+    gen: u32,
 }
 
 impl ApplyEntry {
-    pub(crate) const fn invalid() -> Self {
+    const fn invalid() -> Self {
         ApplyEntry { op: 0, f: INVALID, g: INVALID, result: INVALID, gen: 0 }
     }
 }
@@ -273,16 +273,16 @@ impl ApplyEntry {
 /// One entry of the lossy, direct-mapped ITE cache (generation-stamped like
 /// [`ApplyEntry`]).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct IteEntry {
-    pub(crate) f: u32,
-    pub(crate) g: u32,
-    pub(crate) h: u32,
-    pub(crate) result: u32,
-    pub(crate) gen: u32,
+struct IteEntry {
+    f: u32,
+    g: u32,
+    h: u32,
+    result: u32,
+    gen: u32,
 }
 
 impl IteEntry {
-    pub(crate) const fn invalid() -> Self {
+    const fn invalid() -> Self {
         IteEntry { f: INVALID, g: INVALID, h: INVALID, result: INVALID, gen: 0 }
     }
 }
@@ -309,8 +309,7 @@ pub struct CacheStats {
     pub unique_lookups: u64,
     /// Lookups resolved by an existing node (hash-consing hits).
     pub unique_hits: u64,
-    /// Total slots (open addressing) or chain links (shared manager)
-    /// inspected across all unique lookups; `unique_probe_steps /
+    /// Total slots inspected across all unique lookups; `unique_probe_steps /
     /// unique_lookups` is the mean probe-chain length.
     pub unique_probe_steps: u64,
     /// Times a unique subtable doubled and re-inserted its nodes.
@@ -476,10 +475,8 @@ pub struct BddManager {
     restrict_memo: Memo,
     /// Reusable memo of the quantification recursions.
     pub(crate) quant_memo: Memo,
-    /// Reusable memo of model counting (node index → path count). Interior
-    /// mutability keeps [`BddManager::sat_count`] a `&self` query so shared
-    /// (read-only) managers can be counted concurrently per worker.
-    pub(crate) count_memo: std::cell::RefCell<std::collections::HashMap<u32, u128>>,
+    /// Reusable memo of model counting (node index → path count).
+    pub(crate) count_memo: std::collections::HashMap<u32, u128>,
     /// Current cache generation: operation-cache entries written under an
     /// older generation are stale (entries start at generation 0, which is
     /// never current).
@@ -521,7 +518,7 @@ impl BddManager {
             ite_cache: vec![IteEntry::invalid(); cache],
             restrict_memo: Memo::new(),
             quant_memo: Memo::new(),
-            count_memo: std::cell::RefCell::new(std::collections::HashMap::new()),
+            count_memo: std::collections::HashMap::new(),
             cache_gen: 1,
             sift_cfg: SiftConfig::default(),
             next_auto_sift: 0,
@@ -621,7 +618,7 @@ impl BddManager {
         self.bump_cache_gen();
         self.restrict_memo.clear();
         self.quant_memo.clear();
-        self.count_memo.get_mut().clear();
+        self.count_memo.clear();
         self.stats = CacheStats::default();
     }
 
@@ -1007,7 +1004,7 @@ impl BddManager {
         self.bump_cache_gen();
         self.restrict_memo.clear();
         self.quant_memo.clear();
-        self.count_memo.get_mut().clear();
+        self.count_memo.clear();
     }
 
     /// Runs one deterministic Rudell sifting pass over the diagram reachable
@@ -1055,7 +1052,7 @@ impl BddManager {
         self.bump_cache_gen();
         self.restrict_memo.clear();
         self.quant_memo.clear();
-        self.count_memo.get_mut().clear();
+        self.count_memo.clear();
     }
 
     /// Moves `var` through the levels (closer extreme first, then the other
@@ -1595,7 +1592,7 @@ impl BddManager {
         self.bump_cache_gen();
         self.restrict_memo.clear();
         self.quant_memo.clear();
-        self.count_memo.get_mut().clear();
+        self.count_memo.clear();
     }
 }
 

@@ -10,8 +10,7 @@
 //! cargo run -p bidecomp-bench --release --bin bdd_sweep -- \
 //!     [--suite large|smoke|table3|table4|all] [--threads N] [--seed N] \
 //!     [--max-inputs N] [--max-outputs N] [--repeat N] [--json PATH] \
-//!     [--reorder] [--no-reorder] [--sift-threshold N] \
-//!     [--no-scaling] [--scaling-only] [--write-baseline]
+//!     [--reorder] [--no-reorder] [--sift-threshold N] [--write-baseline]
 //! ```
 //!
 //! Dynamic variable ordering is **on by default** for this bench
@@ -31,29 +30,9 @@
 //! isolates the manager rewrite. Every arm runs `--repeat` times (default 3)
 //! and the fastest run of each is used.
 //!
-//! On top of the single-configuration sweep, a **thread-scaling arm** (on by
-//! default, `--no-scaling` to skip) re-runs the suite with the private
-//! per-worker managers (`Backend::Bdd`) and the one shared sharded store
-//! (`Backend::BddShared`) at 1/2/4/8 threads, reordering off for both so the
-//! arms face the same ordering policy (the shared store's quiescence rule
-//! ignores reordering anyway). Each row records wall time, peak live nodes —
-//! the **single shared arena reported once** for the shared rows, never
-//! summed per worker; the max over per-job managers for the private rows —
-//! and a FNV-1a fingerprint of every job's semantic results. The binary
-//! refuses to emit rows whose fingerprints disagree (shared must be
-//! bit-identical to private at every thread count) or whose peaks vary with
-//! thread count (both backends are demand-determined). Rows land in the
-//! sweep document's `scaling` block; `--scaling-only` instead runs *only*
-//! this arm and writes a standalone `bidecomp-bdd-scaling-v1` document
-//! (default `BENCH_bdd_scaling.json`) for the independent CI gate. The
-//! document records `host_threads` so `regress` only holds speedups to a
-//! floor on hosts that actually have parallelism.
-//!
-//! `--write-baseline` additionally rewrites the committed reference the CI
-//! `bench-smoke` job guards with the `regress` binary:
-//! `BENCH_bdd_baseline.json` (full sweep) or `BENCH_bdd_scaling_baseline.json`
-//! (under `--scaling-only`). Output lands in `BENCH_OUT_DIR` (default:
-//! working directory).
+//! `--write-baseline` additionally rewrites `BENCH_bdd_baseline.json`, the
+//! committed reference the CI `bench-smoke` job guards with the `regress`
+//! binary. Output lands in `BENCH_OUT_DIR` (default: working directory).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -525,25 +504,12 @@ fn run_reference(suite: &Suite, config: &EngineConfig) -> (u64, Vec<RefJob>) {
     (start.elapsed().as_micros() as u64, results)
 }
 
-/// How much of the thread-scaling arm to run.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scaling {
-    /// Single-configuration sweep only (`--no-scaling`).
-    Off,
-    /// Sweep plus the scaling arm, rows embedded in the sweep document.
-    With,
-    /// Only the scaling arm, as a standalone document (`--scaling-only`).
-    Only,
-}
-
 struct Args {
     suite: String,
     config: EngineConfig,
-    /// `--json` if given; otherwise the mode's default artifact name.
-    json_path: Option<String>,
+    json_path: String,
     write_baseline: bool,
     repeat: usize,
-    scaling: Scaling,
 }
 
 /// The bench's default auto-sift trigger, tuned on `Suite::large()`: the
@@ -571,10 +537,9 @@ fn parse_args() -> Args {
             reorder: Some(bench_reorder()),
             ..EngineConfig::default()
         },
-        json_path: None,
+        json_path: "BENCH_bdd_sweep.json".to_string(),
         write_baseline: false,
         repeat: 3,
-        scaling: Scaling::With,
     };
     let mut argv = ArgCursor::from_env("bdd_sweep");
     while let Some(flag) = argv.next_flag() {
@@ -585,9 +550,7 @@ fn parse_args() -> Args {
             "--max-inputs" => args.config.max_inputs = argv.number(&flag) as usize,
             "--max-outputs" => args.config.max_outputs = argv.number(&flag) as usize,
             "--repeat" => args.repeat = argv.number(&flag) as usize,
-            "--json" => args.json_path = Some(argv.value(&flag)),
-            "--no-scaling" => args.scaling = Scaling::Off,
-            "--scaling-only" => args.scaling = Scaling::Only,
+            "--json" => args.json_path = argv.value(&flag),
             "--reorder" => args.config.reorder = Some(bench_reorder()),
             "--no-reorder" => args.config.reorder = None,
             "--sift-threshold" => {
@@ -613,217 +576,6 @@ fn suite_by_name(name: &str) -> Option<Suite> {
     }
 }
 
-/// The thread counts the scaling arm measures. Only the prefix the host can
-/// actually parallelize is *gated* by `regress`; the rest is informational.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// One `(backend, threads)` measurement of the scaling arm.
-struct ScalingRow {
-    backend: Backend,
-    threads: usize,
-    wall_micros: u64,
-    peak_nodes: u64,
-}
-
-/// The scaling arm's cross-checked results: eight rows sharing one semantic
-/// fingerprint and one peak per backend.
-struct ScalingSummary {
-    host_threads: usize,
-    jobs: usize,
-    fingerprint: String,
-    private_peak: u64,
-    shared_peak: u64,
-    rows: Vec<ScalingRow>,
-}
-
-impl ScalingSummary {
-    /// `wall(1 thread) / wall(t threads)` for the shared backend's rows, in
-    /// `SCALING_THREADS` order.
-    fn shared_speedups(&self) -> Vec<(usize, f64)> {
-        let shared: Vec<&ScalingRow> =
-            self.rows.iter().filter(|r| r.backend == Backend::BddShared).collect();
-        let base = shared.first().map_or(0, |r| r.wall_micros);
-        shared.iter().map(|r| (r.threads, base as f64 / r.wall_micros.max(1) as f64)).collect()
-    }
-}
-
-/// FNV-1a over every job's semantic results (everything except `bdd_nodes`,
-/// which the shared backend intentionally pools store-wide): two sweeps with
-/// equal fingerprints computed the same quotients and verdicts for the same
-/// jobs in the same order.
-fn semantic_fingerprint(report: &SweepReport) -> String {
-    use std::fmt::Write;
-    let mut text = String::new();
-    for j in &report.jobs {
-        let _ = write!(
-            text,
-            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{};",
-            j.instance,
-            j.output,
-            j.op,
-            j.num_vars,
-            j.on_minterms,
-            j.dc_minterms,
-            j.off_minterms,
-            j.divisor_errors,
-            j.verified,
-            j.maximal
-        );
-    }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
-/// Runs the scaling arm: private vs shared managers at each thread count,
-/// fastest of `repeat` runs per row. Errors (instead of emitting rows) when
-/// any row's semantics diverge from the first row's, or when a backend's
-/// peak varies with thread count — both are deterministic, so any drift is a
-/// real concurrency bug, and rows that embed it must never reach the gate.
-fn run_scaling(
-    suite: &Suite,
-    base: &EngineConfig,
-    repeat: usize,
-) -> Result<ScalingSummary, String> {
-    let mut rows = Vec::new();
-    let mut jobs = 0;
-    let mut fingerprint: Option<String> = None;
-    // One peak per backend: [private, shared].
-    let mut peaks = [None::<u64>, None::<u64>];
-    for backend in [Backend::Bdd, Backend::BddShared] {
-        for &threads in &SCALING_THREADS {
-            // Reordering off for both arms: the shared store's quiescence
-            // rule ignores it, and the private arm must face the same
-            // ordering policy for the wall times to compare.
-            let config = EngineConfig { backend, threads, reorder: None, ..base.clone() };
-            let mut report = sweep(suite, &config);
-            for _ in 1..repeat {
-                let rerun = sweep(suite, &config);
-                if rerun.wall_micros < report.wall_micros {
-                    report = rerun;
-                }
-            }
-            jobs = report.jobs.len();
-            let fp = semantic_fingerprint(&report);
-            match &fingerprint {
-                None => fingerprint = Some(fp),
-                Some(expect) if *expect != fp => {
-                    return Err(format!(
-                        "{} at {threads} thread(s) diverges semantically from {} at 1 thread",
-                        backend.name(),
-                        Backend::Bdd.name()
-                    ));
-                }
-                Some(_) => {}
-            }
-            // Peak live nodes. The one shared arena is append-only while
-            // shared, so its final size is its peak — reported once for the
-            // whole sweep, never summed per worker. The private rows report
-            // the largest single per-job manager instead.
-            let (slot, peak) = match backend {
-                Backend::BddShared => (1, report.shared_nodes),
-                _ => (0, report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0)),
-            };
-            match peaks[slot] {
-                None => peaks[slot] = Some(peak),
-                Some(expect) if expect != peak => {
-                    return Err(format!(
-                        "{} peak varies with thread count: {expect} at 1 thread vs {peak} at \
-                         {threads} (both backends are demand-determined)",
-                        backend.name()
-                    ));
-                }
-                Some(_) => {}
-            }
-            rows.push(ScalingRow {
-                backend,
-                threads,
-                wall_micros: report.wall_micros,
-                peak_nodes: peak,
-            });
-        }
-    }
-    Ok(ScalingSummary {
-        host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        jobs,
-        fingerprint: fingerprint.expect("the scaling arm always runs at least one row"),
-        private_peak: peaks[0].unwrap_or(0),
-        shared_peak: peaks[1].unwrap_or(0),
-        rows,
-    })
-}
-
-/// The scaling block shared by the embedded (`scaling` key of the sweep
-/// document) and standalone (`bidecomp-bdd-scaling-v1`) forms.
-fn scaling_fields(scaling: &ScalingSummary) -> Vec<(String, Value)> {
-    let rows = scaling
-        .rows
-        .iter()
-        .map(|r| {
-            Value::Object(vec![
-                ("backend".into(), json::s(r.backend.name())),
-                ("threads".into(), json::num(r.threads as u64)),
-                ("wall_ms".into(), Value::Num(r.wall_micros as f64 / 1000.0)),
-                ("peak_nodes".into(), json::num(r.peak_nodes)),
-            ])
-        })
-        .collect();
-    let speedups = scaling
-        .shared_speedups()
-        .into_iter()
-        .map(|(threads, speedup)| {
-            Value::Object(vec![
-                ("threads".into(), json::num(threads as u64)),
-                ("speedup".into(), Value::Num((speedup * 1000.0).round() / 1000.0)),
-            ])
-        })
-        .collect();
-    vec![
-        ("host_threads".into(), json::num(scaling.host_threads as u64)),
-        ("jobs".into(), json::num(scaling.jobs as u64)),
-        ("semantic_fp".into(), json::s(&scaling.fingerprint)),
-        ("private_peak_nodes".into(), json::num(scaling.private_peak)),
-        ("shared_peak_nodes".into(), json::num(scaling.shared_peak)),
-        ("rows".into(), Value::Array(rows)),
-        ("shared_speedups".into(), Value::Array(speedups)),
-    ]
-}
-
-/// The standalone `--scaling-only` document.
-fn scaling_to_json(suite: &str, scaling: &ScalingSummary) -> Value {
-    let mut fields = vec![
-        ("schema".into(), json::s("bidecomp-bdd-scaling-v1")),
-        ("suite".into(), json::s(suite)),
-    ];
-    fields.extend(scaling_fields(scaling));
-    Value::Object(fields)
-}
-
-fn print_scaling(scaling: &ScalingSummary) {
-    println!(
-        "== thread-scaling arm: {} jobs, host has {} hardware thread(s), semantic fp {} ==",
-        scaling.jobs, scaling.host_threads, scaling.fingerprint
-    );
-    for row in &scaling.rows {
-        println!(
-            "  {:<11} {:>2} thread(s)  {:>9.1} ms  peak {:>6} nodes",
-            row.backend.name(),
-            row.threads,
-            row.wall_micros as f64 / 1000.0,
-            row.peak_nodes
-        );
-    }
-    let speedups: Vec<String> = scaling
-        .shared_speedups()
-        .into_iter()
-        .map(|(threads, speedup)| format!("{speedup:.2}x@{threads}t"))
-        .collect();
-    println!("  shared-manager speedup over 1 thread: {}", speedups.join(" "));
-}
-
 fn report_to_json(
     suite: &str,
     report: &SweepReport,
@@ -831,7 +583,6 @@ fn report_to_json(
     engine_1t_micros: u64,
     reference_micros: u64,
     speedup: f64,
-    scaling: Option<&ScalingSummary>,
 ) -> Value {
     let operators = report
         .operators
@@ -851,7 +602,7 @@ fn report_to_json(
         .collect();
     let max_vars = report.jobs.iter().map(|j| j.num_vars).max().unwrap_or(0);
     let peak_nodes = report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0);
-    let mut fields = vec![
+    Value::Object(vec![
         ("schema".into(), json::s("bidecomp-sweep-v1")),
         ("backend".into(), json::s(report.backend.name())),
         ("reorder".into(), Value::Bool(reorder)),
@@ -867,11 +618,7 @@ fn report_to_json(
         ("sequential_wall_ms".into(), Value::Num(reference_micros as f64 / 1000.0)),
         ("speedup".into(), Value::Num((speedup * 1000.0).round() / 1000.0)),
         ("operators".into(), Value::Array(operators)),
-    ];
-    if let Some(scaling) = scaling {
-        fields.push(("scaling".into(), Value::Object(scaling_fields(scaling))));
-    }
-    Value::Object(fields)
+    ])
 }
 
 fn main() -> ExitCode {
@@ -880,55 +627,18 @@ fn main() -> ExitCode {
         eprintln!("unknown suite '{}'; expected large, smoke, table3, table4 or all", args.suite);
         return ExitCode::FAILURE;
     };
-    let json_path = args.json_path.clone().unwrap_or_else(|| {
-        match args.scaling {
-            Scaling::Only => "BENCH_bdd_scaling.json",
-            _ => "BENCH_bdd_sweep.json",
-        }
-        .to_string()
-    });
-    // The committed baselines are only ever refreshed deliberately: pointing
-    // `--json` at one without `--write-baseline` is almost certainly a typo
+    // The committed baseline is only ever refreshed deliberately: pointing
+    // `--json` at it without `--write-baseline` is almost certainly a typo
     // that would silently loosen the CI gate to "compare against myself".
-    for committed in ["BENCH_bdd_baseline.json", "BENCH_bdd_scaling_baseline.json"] {
-        if !args.write_baseline && bench_out_path(&json_path) == bench_out_path(committed) {
-            eprintln!(
-                "refusing to overwrite the committed baseline {json_path}; \
-                 pass --write-baseline to refresh it deliberately"
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let repeat = args.repeat.max(1);
-
-    // `--scaling-only`: just the scaling arm, as its own document, for the
-    // independent CI produce-then-gate step.
-    if args.scaling == Scaling::Only {
-        println!("== BDD thread-scaling arm only: suite '{}' ==", suite.name());
-        let scaling = match run_scaling(&suite, &args.config, repeat) {
-            Ok(scaling) => scaling,
-            Err(message) => {
-                eprintln!("FAIL: {message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print_scaling(&scaling);
-        let text = json::pretty(&scaling_to_json(suite.name(), &scaling));
-        let path = bench_out_path(&json_path);
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-        if args.write_baseline {
-            let path = bench_out_path("BENCH_bdd_scaling_baseline.json");
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("could not write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-        return ExitCode::SUCCESS;
+    if !args.write_baseline
+        && bench_out_path(&args.json_path) == bench_out_path("BENCH_bdd_baseline.json")
+    {
+        eprintln!(
+            "refusing to overwrite the committed baseline {}; \
+             pass --write-baseline to refresh it deliberately",
+            args.json_path
+        );
+        return ExitCode::FAILURE;
     }
 
     println!(
@@ -937,6 +647,7 @@ fn main() -> ExitCode {
         suite.instances().len(),
         suite.symbolic_instances().len()
     );
+    let repeat = args.repeat.max(1);
     // The gated `speedup` is reference-vs-engine at ONE thread: both arms are
     // sequential, so the ratio isolates the manager rewrite and is
     // comparable across hosts with different core counts.
@@ -1007,28 +718,6 @@ fn main() -> ExitCode {
         );
     }
 
-    // The thread-scaling arm: shared vs private managers at 1/2/4/8 threads,
-    // semantically cross-checked against each other inside `run_scaling` and
-    // against the main arm here (reordering changes node counts, never
-    // functions, so the fingerprints must agree).
-    let scaling = match args.scaling {
-        Scaling::With => match run_scaling(&suite, &args.config, repeat) {
-            Ok(scaling) => Some(scaling),
-            Err(message) => {
-                eprintln!("FAIL: {message}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => None,
-    };
-    if let Some(scaling) = &scaling {
-        if semantic_fingerprint(&report) != scaling.fingerprint {
-            eprintln!("FAIL: the scaling arm diverges semantically from the main sweep");
-            return ExitCode::FAILURE;
-        }
-        print_scaling(scaling);
-    }
-
     let doc = report_to_json(
         suite.name(),
         &report,
@@ -1036,10 +725,9 @@ fn main() -> ExitCode {
         engine_1t_micros,
         reference_micros,
         speedup,
-        scaling.as_ref(),
     );
     let text = json::pretty(&doc);
-    let path = bench_out_path(&json_path);
+    let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {
         eprintln!("could not write {}: {e}", path.display());
         return ExitCode::FAILURE;

@@ -95,6 +95,12 @@ fn main() -> ExitCode {
     let args = parse_args();
     let server = match Server::bind(("127.0.0.1", args.port), args.config.clone()) {
         Ok(server) => server,
+        // A configuration the server refuses (e.g. `--max-vars` out of
+        // range) is a usage error, like a bad flag.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("bidecompd: {e}");
+            return ExitCode::from(2);
+        }
         Err(e) => {
             eprintln!("bidecompd: cannot bind 127.0.0.1:{}: {e}", args.port);
             return ExitCode::FAILURE;

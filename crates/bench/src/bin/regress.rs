@@ -8,31 +8,12 @@
 //!     [--baseline PATH] [--current PATH] [--tolerance F] [--node-tolerance F]
 //! ```
 //!
-//! Two document schemas are understood, dispatched on the `schema` field
+//! Six document schemas are understood, dispatched on the `schema` field
 //! (baseline and current must agree):
 //!
 //! * `bidecomp-sweep-v1` — the quotient sweeps (`sweep`, `bdd_sweep`):
 //!   exact semantic comparison plus the tolerance-banded `speedup` ratio
-//!   described below; when the baseline carries a `scaling` block (the BDD
-//!   sweep's shared-vs-private thread-scaling arm), it is gated as described
-//!   under the scaling schema;
-//! * `bidecomp-bdd-scaling-v1` — the standalone thread-scaling arm
-//!   (`bdd_sweep --scaling-only`): the job count, the semantic fingerprint
-//!   (one FNV-1a digest over every job's quotient counts and verdicts —
-//!   `bdd_sweep` itself refuses to emit rows whose fingerprints differ
-//!   across backends or thread counts, so one field pins shared == private
-//!   == baseline), and the `(backend, threads)` row set are exact; each
-//!   backend's peak node count (the one shared arena reported once for the
-//!   shared rows) sits under the `--node-tolerance` ceiling. Speedup checks
-//!   are **host-aware** — wall-clock scaling only exists where hardware
-//!   parallelism does, so they engage only when the current run's
-//!   `host_threads` permits: with 2+ hardware threads the shared backend's
-//!   speedup over its own 1-thread row must improve monotonically across
-//!   1/2/4 threads within the tolerance band and must exceed 1.0 at the
-//!   largest gated thread count; with 4+ hardware threads the 8-thread
-//!   speedup must additionally stay above
-//!   `max(1.0, speedup(4) × (1 − tolerance))`. On a single-hardware-thread
-//!   host the rows are reported, never compared.
+//!   described below;
 //! * `bidecomp-synth-v1` — the recursive-synthesis sweep (`synth_sweep`):
 //!   the whole document is deterministic (no reference arm, no ratio), so
 //!   the aggregate counters and every per-`(instance, output)` row — gate
@@ -171,7 +152,6 @@ fn run(args: &Args) -> Result<Vec<String>, String> {
     }
     match base_schema.as_str() {
         "bidecomp-sweep-v1" => run_sweep(args, &baseline, &current),
-        "bidecomp-bdd-scaling-v1" => run_scaling(args, &baseline, &current),
         "bidecomp-synth-v1" => run_synth(args, &baseline, &current),
         "bidecomp-service-v1" => run_service(args, &baseline, &current),
         "bidecomp-service-chaos-v1" => run_service_chaos(args, &baseline, &current),
@@ -330,182 +310,7 @@ fn run_sweep(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
          (informational; hosts differ)"
     );
 
-    // --- Thread-scaling arm (gated when the baseline carries one) ---
-    if let Some(base_scaling) = baseline.get("scaling") {
-        let cur_scaling = current
-            .get("scaling")
-            .ok_or_else(|| format!("{}: missing scaling block", args.current))?;
-        gate_scaling(args, base_scaling, cur_scaling, &mut failures)?;
-    }
-
     Ok(failures)
-}
-
-/// The standalone thread-scaling gate (`bidecomp-bdd-scaling-v1`, produced
-/// by `bdd_sweep --scaling-only`): the suite plus everything
-/// [`gate_scaling`] checks.
-fn run_scaling(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let base_suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
-    let cur_suite = current.get("suite").and_then(Value::as_str).unwrap_or("?");
-    if base_suite != cur_suite {
-        failures.push(format!("suite differs: baseline '{base_suite}' vs current '{cur_suite}'"));
-    }
-    gate_scaling(args, baseline, current, &mut failures)?;
-    Ok(failures)
-}
-
-/// The thread-scaling checks shared by the sweep document's `scaling` block
-/// and the standalone scaling schema (identical fields).
-///
-/// Exact: job count, the `(backend, threads)` row set, and the semantic
-/// fingerprint — `bdd_sweep` refuses to emit rows whose per-run fingerprints
-/// disagree across backends or thread counts, so the document's one
-/// fingerprint matching the baseline pins shared == private == history.
-/// Ceilinged: each backend's peak node count (the single shared arena,
-/// reported once, for the shared rows) under `--node-tolerance` headroom.
-/// Host-aware (wall-clock scaling only exists where hardware parallelism
-/// does, so these engage by the *current* run's `host_threads`): with 2+
-/// hardware threads the shared backend's speedup over its own 1-thread row
-/// must improve monotonically over 1/2/4 threads within the tolerance band
-/// and exceed 1.0 at the largest of those counts; with 4+ the 8-thread
-/// speedup must also hold `max(1.0, speedup(4) × (1 − tolerance))`.
-fn gate_scaling(
-    args: &Args,
-    baseline: &Value,
-    current: &Value,
-    failures: &mut Vec<String>,
-) -> Result<(), String> {
-    let base_jobs = u64_field(baseline, "jobs", &args.baseline)?;
-    let cur_jobs = u64_field(current, "jobs", &args.current)?;
-    if base_jobs != cur_jobs {
-        failures.push(format!("scaling jobs differ: baseline {base_jobs} vs current {cur_jobs}"));
-    }
-    let fp_of = |doc: &Value, path: &str| {
-        doc.get("semantic_fp")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{path}: missing semantic_fp"))
-    };
-    let base_fp = fp_of(baseline, &args.baseline)?;
-    let cur_fp = fp_of(current, &args.current)?;
-    println!("scaling semantic fingerprint: baseline {base_fp}, current {cur_fp} (exact)");
-    if base_fp != cur_fp {
-        failures.push(format!(
-            "scaling semantics drifted: fingerprint {cur_fp} vs baseline {base_fp} \
-             (quotients or verdicts changed)"
-        ));
-    }
-
-    for key in ["private_peak_nodes", "shared_peak_nodes"] {
-        let base_peak = u64_field(baseline, key, &args.baseline)?;
-        let cur_peak = u64_field(current, key, &args.current)?;
-        let ceiling = (base_peak as f64 * (1.0 + args.node_tolerance)).floor() as u64;
-        println!(
-            "scaling {key}: baseline {base_peak}, current {cur_peak} (ceiling {ceiling}, \
-             node tolerance {})",
-            args.node_tolerance
-        );
-        if cur_peak > ceiling {
-            failures.push(format!(
-                "scaling {key} regression: {cur_peak} exceeds the ceiling {ceiling} \
-                 (baseline {base_peak})"
-            ));
-        }
-    }
-
-    fn rows_of<'a>(doc: &'a Value, path: &str) -> Result<&'a [Value], String> {
-        doc.get("rows")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{path}: missing scaling rows"))
-    }
-    let base_rows = rows_of(baseline, &args.baseline)?;
-    let cur_rows = rows_of(current, &args.current)?;
-    let key_of = |r: &Value| {
-        (
-            r.get("backend").and_then(Value::as_str).unwrap_or("?").to_string(),
-            r.get("threads").and_then(Value::as_u64).unwrap_or(u64::MAX),
-        )
-    };
-    for base_row in base_rows {
-        let (backend, threads) = key_of(base_row);
-        if !cur_rows.iter().any(|r| key_of(r) == (backend.clone(), threads)) {
-            failures.push(format!("scaling row {backend}@{threads}t missing from current run"));
-        }
-    }
-    if cur_rows.len() != base_rows.len() {
-        failures.push(format!(
-            "scaling row count differs: baseline {} vs current {}",
-            base_rows.len(),
-            cur_rows.len()
-        ));
-    }
-
-    // Shared-backend speedups over its own 1-thread row, from the current
-    // run only: the ratio depends on the measuring host's core count, so it
-    // is never compared against the baseline's.
-    let mut shared: Vec<(u64, f64)> = Vec::new();
-    for row in cur_rows {
-        let (backend, threads) = key_of(row);
-        if backend == "bdd-shared" {
-            shared.push((threads, f64_field(row, "wall_ms", &args.current)?));
-        }
-    }
-    shared.sort_by_key(|&(threads, _)| threads);
-    let Some(&(1, base_wall)) = shared.first() else {
-        return Err(format!("{}: scaling rows lack a 1-thread shared row", args.current));
-    };
-    let speedup_at = |threads: u64| {
-        shared
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, wall)| base_wall / wall.max(f64::MIN_POSITIVE))
-    };
-    let host = u64_field(current, "host_threads", &args.current)?;
-    let summary: Vec<String> = shared
-        .iter()
-        .filter_map(|&(t, _)| speedup_at(t).map(|s| format!("{s:.2}x@{t}t")))
-        .collect();
-    println!("shared-manager scaling on a {host}-hardware-thread host: {}", summary.join(" "));
-    if host < 2 {
-        println!("scaling speedups: reported only (host has no hardware parallelism)");
-        return Ok(());
-    }
-    let gated: Vec<u64> = [1, 2, 4].into_iter().filter(|&t| speedup_at(t).is_some()).collect();
-    for pair in gated.windows(2) {
-        let (prev, next) = (pair[0], pair[1]);
-        let (s_prev, s_next) = (speedup_at(prev).unwrap(), speedup_at(next).unwrap());
-        let floor = s_prev * (1.0 - args.tolerance);
-        if s_next < floor {
-            failures.push(format!(
-                "scaling regression: {s_next:.2}x at {next} threads fell below the banded \
-                 {s_prev:.2}x at {prev} threads (floor {floor:.2}x, tolerance {})",
-                args.tolerance
-            ));
-        }
-    }
-    if let Some(&top) = gated.last() {
-        let s_top = speedup_at(top).unwrap();
-        if top > 1 && s_top < 1.0 {
-            failures.push(format!(
-                "scaling regression: {s_top:.2}x at {top} threads — threading must beat the \
-                 1-thread run on a {host}-hardware-thread host"
-            ));
-        }
-    }
-    if host >= 4 {
-        if let (Some(s4), Some(s8)) = (speedup_at(4), speedup_at(8)) {
-            let floor = (s4 * (1.0 - args.tolerance)).max(1.0);
-            if s8 < floor {
-                failures.push(format!(
-                    "scaling regression: 8-thread speedup {s8:.2}x fell below the floor \
-                     {floor:.2}x (4-thread {s4:.2}x, tolerance {})",
-                    args.tolerance
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The synth-schema gate: everything in a `bidecomp-synth-v1` document

@@ -2,7 +2,7 @@
 //! decomposition) and Corollaries 1–4 (maximality of the quotient's
 //! flexibility), on dense truth tables and on BDDs.
 
-use bdd::{Bdd, BddOps};
+use bdd::{Bdd, BddManager};
 use boolfunc::{Isf, TruthTable};
 
 use crate::operator::BinaryOp;
@@ -135,7 +135,7 @@ pub fn verify_maximal_flexibility_sets(
 
 /// `g op c` for a constant `c`, as a BDD: always one of
 /// `{0, 1, g, ¬g}`, depending on the operator's two-point restriction.
-fn op_with_const<M: BddOps>(mgr: &mut M, op: BinaryOp, g: Bdd, h: bool) -> Bdd {
+fn op_with_const(mgr: &mut BddManager, op: BinaryOp, g: Bdd, h: bool) -> Bdd {
     match (op.apply(false, h), op.apply(true, h)) {
         (false, false) => mgr.zero(),
         (false, true) => g,
@@ -150,8 +150,8 @@ fn op_with_const<M: BddOps>(mgr: &mut M, op: BinaryOp, g: Bdd, h: bool) -> Bdd {
 /// The check builds the set of care minterms on which some allowed value of
 /// `h` fails to realize `f` and tests it for emptiness — no enumeration, so
 /// it runs at arities where `2^n` bits do not fit in memory.
-pub fn verify_decomposition_bdd<M: BddOps>(
-    mgr: &mut M,
+pub fn verify_decomposition_bdd(
+    mgr: &mut BddManager,
     f_on: Bdd,
     f_dc: Bdd,
     g: Bdd,
@@ -182,8 +182,8 @@ pub fn verify_decomposition_bdd<M: BddOps>(
 /// Canonicity of ROBDDs makes the final comparison O(1): the forced-to-1 set
 /// and the genuinely-free set are built as BDDs and must be *pointer-equal*
 /// to `h_on` and `h_dc` respectively.
-pub fn verify_maximal_flexibility_bdd<M: BddOps>(
-    mgr: &mut M,
+pub fn verify_maximal_flexibility_bdd(
+    mgr: &mut BddManager,
     f_on: Bdd,
     f_dc: Bdd,
     g: Bdd,

@@ -6,8 +6,7 @@
 //! One JSON object per line in each direction. Requests carry a `"verb"`:
 //!
 //! * `decompose` — `{"verb":"decompose","num_vars":N,"f_on":HEX,
-//!   "f_dc":HEX?,"op":"AND","g":HEX?,"seed":S?,"no_cache":B?,"tables":B?,
-//!   "symbolic":B?}`.
+//!   "f_dc":HEX?,"op":"AND","g":HEX?,"seed":S?,"no_cache":B?,"tables":B?}`.
 //!   Truth tables travel as fixed-width hex words ([`table_to_hex`] /
 //!   [`table_from_hex`]). Without `g`, a seed-stable valid divisor is
 //!   derived server-side (`bidecomp::engine::seeded_divisor` with `seed`;
@@ -15,11 +14,7 @@
 //!   The reply reports the quotient's on/dc/off minterm counts, the
 //!   Lemma 1–5 (`verified`) and Corollary 1–4 (`maximal`) verdicts, and
 //!   `cache` ∈ `hit`/`miss`/`bypass`; with `"tables":true` it includes
-//!   `h_on`/`h_dc` hex words. With `"symbolic":true` the quotient and both
-//!   verifications run on BDDs in the service's one shared
-//!   [`bdd::SharedManager`] (every worker a [`bdd::WorkerCtx`] view of the
-//!   same sharded store), the NPN cache is bypassed and `cache` reports
-//!   `shared` — the response is otherwise bit-identical to the dense path.
+//!   `h_on`/`h_dc` hex words.
 //! * `synthesize` — `{"verb":"synthesize","num_vars":N,"f_on":HEX,
 //!   "f_dc":HEX?,"no_cache":B?}`. Runs the recursive bi-decomposition
 //!   synthesizer; the reply reports gates, depth, branches, mapped/flat
@@ -37,14 +32,14 @@
 //!   histogram of the server's [`obs::Registry`] — server verb/robustness
 //!   counters, per-verb server-side latency histograms
 //!   (`server.latency.<verb>`, microseconds, with `p50_us`/`p99_us` and the
-//!   non-empty log₂ buckets), engine phase counters, shared-BDD-store and
-//!   cache counters. Like `stats`, always admitted. The metric name set is
-//!   pre-registered at bind, so the snapshot has the same shape on an idle
-//!   server as on a busy one.
+//!   non-empty log₂ buckets), engine phase counters and cache counters.
+//!   Like `stats`, always admitted. The metric name set is pre-registered
+//!   at bind, so the snapshot has the same shape on an idle server as on a
+//!   busy one.
 //! * `shutdown` — acknowledges, then stops accepting and drains the queue
 //!   under [`ServiceConfig::drain_deadline_ms`].
 //!
-//! Every request may additionally carry:
+//! Unknown request fields are ignored. Every request may additionally carry:
 //!
 //! * `"id"` — an opaque number or string echoed verbatim in the response
 //!   (so a retrying client can correlate replies across reconnects);
@@ -108,13 +103,11 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
-use bdd::{SharedManager, WorkerCtx};
 use bidecomp::approximation::is_valid_divisor;
 use bidecomp::engine::{seeded_divisor, try_run_pool};
 use bidecomp::{
-    full_quotient, full_quotient_bdd, quotient_off_bdd, verify_decomposition,
-    verify_decomposition_bdd, verify_maximal_flexibility, verify_maximal_flexibility_bdd,
-    verify_network, BinaryOp, QuotientCache, RecursiveConfig, RecursiveSynthesizer,
+    full_quotient, verify_decomposition, verify_maximal_flexibility, verify_network, BinaryOp,
+    QuotientCache, RecursiveConfig, RecursiveSynthesizer,
 };
 use boolfunc::{Isf, TruthTable};
 use techmap::AreaModel;
@@ -149,7 +142,8 @@ pub struct ServiceConfig {
     /// Lock stripes of the cache (rounded up to a power of two).
     pub cache_shards: usize,
     /// Largest request arity accepted (bounds both the wire payload and the
-    /// exhaustive verification work per request).
+    /// exhaustive verification work per request). [`Server::bind`] refuses
+    /// values outside `1..=`[`TruthTable::MAX_VARS`].
     pub max_vars: usize,
     /// The recursive synthesizer configuration `synthesize` requests run
     /// under (its fingerprint partitions the synthesis cache).
@@ -338,9 +332,6 @@ enum Payload {
         op: BinaryOp,
         no_cache: bool,
         tables: bool,
-        /// Route the quotient and verifications through the service's shared
-        /// BDD store instead of the dense word-parallel path.
-        symbolic: bool,
     },
     Synthesize {
         f: Isf,
@@ -460,17 +451,11 @@ impl Counters {
 
 struct ServiceState {
     config: ServiceConfig,
-    /// The one observability registry: the cache, the shared BDD store, the
-    /// per-verb counters and the latency histograms all register here, and
-    /// the `metrics` verb snapshots it.
+    /// The one observability registry: the cache, the per-verb counters and
+    /// the latency histograms all register here, and the `metrics` verb
+    /// snapshots it.
     obs: Arc<obs::Registry>,
     cache: Option<Arc<NpnCache>>,
-    /// The one shared BDD store of the service, sized at `max_vars`: every
-    /// worker's `symbolic` decompose requests hash-cons into it, so
-    /// structure recurring across requests and connections is built once.
-    /// Append-only for the server's lifetime (the shared store's quiescence
-    /// rule: no reordering or GC while workers hold handles).
-    shared: Arc<SharedManager>,
     config_fp: u64,
     queue: Mutex<VecDeque<QueueItem>>,
     available: Condvar,
@@ -547,28 +532,36 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any [`TcpListener::bind`] error.
+    /// [`io::ErrorKind::InvalidInput`] unless `1 ≤ config.max_vars ≤`
+    /// [`TruthTable::MAX_VARS`] (no larger request fits a truth table), then
+    /// any [`TcpListener::bind`] error.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServiceConfig) -> io::Result<Server> {
+        if !(1..=TruthTable::MAX_VARS).contains(&config.max_vars) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "max_vars must be between 1 and {}, got {}",
+                    TruthTable::MAX_VARS,
+                    config.max_vars
+                ),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let registry = Arc::new(obs::Registry::new());
         let counters = Counters::new(&registry);
-        // Pre-register every metric a worker can emit lazily so a `metrics`
-        // snapshot has the same name set on an idle server as on a busy one
-        // (the regress gate compares the exact counter shape).
-        bdd::CacheStats::default().merge_into(&registry, "bdd.worker");
-        let _ = registry.gauge("bdd.shared.nodes");
+        // Pre-register the gauge `metrics` refreshes lazily so a snapshot has
+        // the same name set on an idle server as on a busy one (the regress
+        // gate compares the exact shape).
         let cache = (config.cache_capacity > 0).then(|| {
             let _ = registry.gauge("cache.entries");
             Arc::new(NpnCache::with_registry(config.cache_capacity, config.cache_shards, &registry))
         });
         let config_fp = config_fingerprint(&config.recursive);
         let seed = config.faults.as_ref().map_or(0x5EED, |plan| plan.seed);
-        let shared = Arc::new(SharedManager::with_registry(config.max_vars, &registry));
         let state = Arc::new(ServiceState {
             config,
             obs: registry,
             cache,
-            shared,
             config_fp,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -882,9 +875,7 @@ fn inline_cache_hit(
 ) -> Option<String> {
     let cache = state.cache.as_ref()?;
     match &request.payload {
-        // Symbolic requests bypass the NPN cache entirely (they answer from
-        // the shared store on a worker), so only dense requests hit inline.
-        Payload::Decompose { f, g, seed, op, no_cache: false, tables, symbolic: false } => {
+        Payload::Decompose { f, g, seed, op, no_cache: false, tables } => {
             let g = g.clone().unwrap_or_else(|| seeded_divisor(f, *op, *seed));
             if !cache.has_quotient(f, &g, *op) {
                 return None;
@@ -965,9 +956,6 @@ struct Worker {
     cached: RecursiveSynthesizer,
     uncached: RecursiveSynthesizer,
     area: AreaModel,
-    /// This worker's view of the service's shared BDD store (private
-    /// operation caches over the one sharded node arena).
-    ctx: WorkerCtx,
 }
 
 fn make_worker(state: &ServiceState) -> Worker {
@@ -978,12 +966,7 @@ fn make_worker(state: &ServiceState) -> Worker {
         }
         None => uncached.clone(),
     };
-    Worker {
-        cached,
-        uncached,
-        area: AreaModel::mcnc(),
-        ctx: WorkerCtx::new(Arc::clone(&state.shared)),
-    }
+    Worker { cached, uncached, area: AreaModel::mcnc() }
 }
 
 /// One worker's life: pop a request, handle it (under `catch_unwind`),
@@ -1098,25 +1081,13 @@ fn handle(
     inject_panic: bool,
 ) -> String {
     match &request.payload {
-        Payload::Decompose { f, g, seed, op, no_cache, tables, symbolic } => {
+        Payload::Decompose { f, g, seed, op, no_cache, tables } => {
             state.counters.decompose.inc();
             if inject_panic {
                 panic!("{INJECTED_PANIC_MESSAGE}");
             }
-            let result = if *symbolic {
-                handle_decompose_shared(
-                    state,
-                    &mut worker.ctx,
-                    f,
-                    g.as_ref(),
-                    *seed,
-                    *op,
-                    *tables,
-                    deadline,
-                )
-            } else {
-                handle_decompose(state, f, g.as_ref(), *seed, *op, *no_cache, *tables, deadline)
-            };
+            let result =
+                handle_decompose(state, f, g.as_ref(), *seed, *op, *no_cache, *tables, deadline);
             finish(state, result, &request.id)
         }
         Payload::Synthesize { f, no_cache } => {
@@ -1205,79 +1176,6 @@ fn handle_decompose(
     if tables {
         fields.push(("h_on".into(), json::s(table_to_hex(h.on()))));
         fields.push(("h_dc".into(), json::s(table_to_hex(h.dc()))));
-    }
-    Ok(Value::Object(fields))
-}
-
-/// [`handle_decompose`]'s symbolic twin: the Table II pipeline on the
-/// worker's [`WorkerCtx`] view of the service's one shared BDD store.
-///
-/// The request's tables are lifted onto the store's variable prefix (the
-/// store is sized at `max_vars`; narrower arities leave the extra variables
-/// unused), the quotient and both verifications run symbolically, and each
-/// reported count is the store-wide count shifted down by the unused
-/// variables — so the response fields are bit-identical to the dense path's.
-/// The NPN cache is untouched; `cache` reports `shared` (the shared store's
-/// global hash consing *is* the memoization: repeated structure costs
-/// lookups, not nodes).
-#[allow(clippy::too_many_arguments)]
-fn handle_decompose_shared(
-    state: &ServiceState,
-    ctx: &mut WorkerCtx,
-    f: &Isf,
-    g: Option<&TruthTable>,
-    seed: u64,
-    op: BinaryOp,
-    tables: bool,
-    deadline: Option<Instant>,
-) -> Result<Value, RequestError> {
-    let g = match g {
-        Some(g) => g.clone(),
-        None => seeded_divisor(f, op, seed),
-    };
-    if !is_valid_divisor(f, &g, op) {
-        return Err(format!("divisor violates the Table II side condition of {op}").into());
-    }
-    let start = Instant::now();
-    let shift = ctx.num_vars() - f.num_vars();
-    let f_on = ctx.from_truth_table(f.on());
-    let f_dc = ctx.from_truth_table(f.dc());
-    let g_bdd = ctx.from_truth_table(&g);
-    let (h_on, h_dc) = full_quotient_bdd(ctx, f_on, f_dc, g_bdd, op);
-    let h_off = quotient_off_bdd(ctx, h_on, h_dc);
-    state.counters.engine_quotient_nanos.add(start.elapsed().as_nanos() as u64);
-    // Same deadline contract as the dense path: the quotient is cheap,
-    // verification is the expensive step.
-    if deadline_expired(deadline) {
-        return Err(RequestError::Deadline);
-    }
-    let verify_start = Instant::now();
-    let verified = verify_decomposition_bdd(ctx, f_on, f_dc, g_bdd, h_on, h_dc, op);
-    let maximal = verify_maximal_flexibility_bdd(ctx, f_on, f_dc, g_bdd, h_on, h_dc, op);
-    state.counters.engine_verify_nanos.add(verify_start.elapsed().as_nanos() as u64);
-    // This request's share of the shared-store work, merged under
-    // `bdd.worker.*` (the per-request delta: stats are taken and reset).
-    let worker_stats = ctx.stats();
-    ctx.reset_stats();
-    worker_stats.merge_into(&state.obs, "bdd.worker");
-    let mut fields = vec![
-        ("ok".into(), Value::Bool(true)),
-        ("verb".into(), json::s("decompose")),
-        ("num_vars".into(), json::num(f.num_vars() as u64)),
-        ("op".into(), json::s(op.symbol())),
-        ("on_minterms".into(), json::num(ctx.sat_count(h_on) >> shift)),
-        ("dc_minterms".into(), json::num(ctx.sat_count(h_dc) >> shift)),
-        ("off_minterms".into(), json::num(ctx.sat_count(h_off) >> shift)),
-        ("verified".into(), Value::Bool(verified)),
-        ("maximal".into(), Value::Bool(maximal)),
-        ("cache".into(), json::s("shared")),
-    ];
-    if tables {
-        let n = f.num_vars();
-        let h_on_tt = TruthTable::from_fn(n, |m| ctx.eval(h_on, m));
-        let h_dc_tt = TruthTable::from_fn(n, |m| ctx.eval(h_dc, m));
-        fields.push(("h_on".into(), json::s(table_to_hex(&h_on_tt))));
-        fields.push(("h_dc".into(), json::s(table_to_hex(&h_dc_tt))));
     }
     Ok(Value::Object(fields))
 }
@@ -1436,7 +1334,6 @@ fn stats_value(state: &ServiceState) -> Value {
         ("rejected_connections".into(), json::num(c.rejected_connections.get())),
         ("slow_clients".into(), json::num(c.slow_clients.get())),
         ("line_overflows".into(), json::num(c.line_overflows.get())),
-        ("shared_nodes".into(), json::num(state.shared.num_nodes() as u64)),
         ("cache".into(), cache),
     ])
 }
@@ -1491,13 +1388,12 @@ pub fn registry_snapshot_value(registry: &obs::Registry) -> Value {
 }
 
 /// The `metrics` response: the registry snapshot wrapped in the response
-/// envelope. Point-in-time gauges (queue depth, cache population, shared
-/// store size) are refreshed immediately before the snapshot so `current`
-/// is current, not last-event.
+/// envelope. Point-in-time gauges (queue depth, cache population) are
+/// refreshed immediately before the snapshot so `current` is current, not
+/// last-event.
 fn metrics_value(state: &ServiceState) -> Value {
     let queue_depth = state.queue.lock().expect("request queue poisoned").len();
     state.counters.queue_depth.set(queue_depth as u64);
-    state.obs.gauge("bdd.shared.nodes").set(state.shared.num_nodes() as u64);
     if let Some(cache) = &state.cache {
         state.obs.gauge("cache.entries").set(cache.stats().entries);
     }
@@ -1617,7 +1513,6 @@ fn parse_request(line: &str, config: &ServiceConfig) -> Result<Request, String> 
                 op,
                 no_cache: bool_field(&doc, "no_cache"),
                 tables: bool_field(&doc, "tables"),
-                symbolic: bool_field(&doc, "symbolic"),
             }
         }
         "synthesize" => {
@@ -1727,12 +1622,12 @@ mod tests {
             "00000000000000c0" // x0 x1 (minterms 6 and 7)
         );
         match parse_request(&line, &config).unwrap().payload {
-            Payload::Decompose { f, op, seed, g, no_cache, tables, symbolic } => {
+            Payload::Decompose { f, op, seed, g, no_cache, tables } => {
                 assert_eq!(f.num_vars(), 3);
                 assert_eq!(f.on().count_ones(), 2);
                 assert_eq!(op, BinaryOp::And);
                 assert_eq!(seed, 7);
-                assert!(g.is_none() && !no_cache && !tables && !symbolic);
+                assert!(g.is_none() && !no_cache && !tables);
             }
             other => panic!("expected a decompose payload, got {other:?}"),
         }

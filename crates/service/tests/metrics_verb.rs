@@ -96,9 +96,6 @@ fn metrics_verb_round_trips_and_counts() {
         "engine.quotient_nanos",
         "engine.verify_nanos",
         "engine.synthesis_nanos",
-        "bdd.worker.unique_lookups",
-        "bdd.worker.unique_probe_steps",
-        "bdd.shared.lock_acquires",
         "cache.hits",
         "cache.probe_hits",
         "cache.probe_misses",
@@ -108,11 +105,10 @@ fn metrics_verb_round_trips_and_counts() {
     assert_eq!(counter(&idle, "server.decompose"), 0);
     assert_eq!(counter(&idle, "server.panics"), 0);
     assert!(idle.get("gauges").and_then(|g| g.get("server.queue_depth")).is_some());
-    assert!(idle.get("gauges").and_then(|g| g.get("bdd.shared.nodes")).is_some());
     assert!(idle.get("gauges").and_then(|g| g.get("cache.entries")).is_some());
 
-    // Drive traffic through every compute path: dense miss, dense hit,
-    // symbolic, synthesize, stats.
+    // Drive traffic through every compute path: decompose miss, decompose
+    // hit, synthesize, stats.
     let f = Isf::completely_specified(TruthTable::from_fn(4, |m| m % 3 == 0));
     let decompose = format!(
         r#"{{"verb":"decompose","num_vars":4,"f_on":"{}","op":"AND","seed":5}}"#,
@@ -122,12 +118,6 @@ fn metrics_verb_round_trips_and_counts() {
         let response = client.roundtrip(&decompose);
         assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "error: {response}");
     }
-    let symbolic = format!(
-        r#"{{"verb":"decompose","num_vars":4,"f_on":"{}","op":"AND","seed":5,"symbolic":true}}"#,
-        table_to_hex(f.on()),
-    );
-    let response = client.roundtrip(&symbolic);
-    assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "error: {response}");
     let synth =
         format!(r#"{{"verb":"synthesize","num_vars":4,"f_on":"{}"}}"#, table_to_hex(f.on()));
     let response = client.roundtrip(&synth);
@@ -137,7 +127,7 @@ fn metrics_verb_round_trips_and_counts() {
     let busy = client.roundtrip(r#"{"verb":"metrics"}"#);
     // Same counter shape as idle — traffic adds values, never names.
     assert_eq!(counter_names(&busy), idle_names, "traffic must not change the metric name set");
-    assert_eq!(counter(&busy, "server.decompose"), 3);
+    assert_eq!(counter(&busy, "server.decompose"), 2);
     assert_eq!(counter(&busy, "server.synthesize"), 1);
     assert_eq!(counter(&busy, "server.stats_requests"), 1);
     // The idle request plus this one — the counter is bumped before the
@@ -147,21 +137,16 @@ fn metrics_verb_round_trips_and_counts() {
     assert!(counter(&busy, "engine.quotient_nanos") > 0);
     assert!(counter(&busy, "engine.verify_nanos") > 0);
     assert!(counter(&busy, "engine.synthesis_nanos") > 0);
-    // The symbolic request worked the shared store through its WorkerCtx.
-    assert!(counter(&busy, "bdd.worker.unique_lookups") > 0);
-    assert!(counter(&busy, "bdd.shared.lock_acquires") > 0);
-    // The dense repeat hit the NPN cache; the synthesize miss inserted.
+    // The decompose repeat hit the NPN cache; the synthesize miss inserted.
     assert!(counter(&busy, "cache.hits") >= 1);
     assert!(counter(&busy, "cache.insertions") >= 1);
-    let nodes = busy.get("gauges").and_then(|g| g.get("bdd.shared.nodes")).unwrap();
-    assert!(u64_field(nodes, "current") > 1, "shared store grew: {nodes}");
     let entries = busy.get("gauges").and_then(|g| g.get("cache.entries")).unwrap();
     assert!(u64_field(entries, "current") >= 1);
 
     // Per-verb server-side latency histograms: counts match the verb
     // counters, quantiles are sane and bucket counts sum to the total.
     let latency = histogram(&busy, "server.latency.decompose");
-    assert_eq!(u64_field(latency, "count"), 3);
+    assert_eq!(u64_field(latency, "count"), 2);
     let p50 = f64_field(latency, "p50_us");
     let p99 = f64_field(latency, "p99_us");
     assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
@@ -175,7 +160,7 @@ fn metrics_verb_round_trips_and_counts() {
             .sum(),
         other => panic!("buckets must be an array, got {other:?}"),
     };
-    assert_eq!(bucket_total, 3, "non-empty buckets must account for every sample");
+    assert_eq!(bucket_total, 2, "non-empty buckets must account for every sample");
     assert_eq!(u64_field(histogram(&busy, "server.latency.synthesize"), "count"), 1);
     assert!(u64_field(histogram(&busy, "server.latency.stats"), "count") >= 1);
 
@@ -183,7 +168,7 @@ fn metrics_verb_round_trips_and_counts() {
     // render the envelope-free dump `bidecompd --metrics-dump` writes.
     let dump = registry_snapshot_value(&registry);
     assert_eq!(dump.get("schema").and_then(Value::as_str), Some("bidecomp-metrics-v1"));
-    assert_eq!(counter(&dump, "server.decompose"), 3);
+    assert_eq!(counter(&dump, "server.decompose"), 2);
     assert!(dump.get("verb").is_none(), "the dump has no response envelope");
 
     client.roundtrip(r#"{"verb":"shutdown"}"#);

@@ -2,13 +2,14 @@
 //! shedding (with inline cache hits), deadlines, injected panics, slow
 //! clients, over-long lines, the connection cap and a draining shutdown —
 //! each asserting the exact `error` string and that the connection (or at
-//! least the server) survives.
+//! least the server) survives — plus the configuration `Server::bind`
+//! refuses.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use boolfunc::Isf;
+use boolfunc::{Isf, TruthTable};
 use service::json::Value;
 use service::server::table_to_hex;
 use service::{
@@ -355,4 +356,22 @@ fn shutdown_drains_under_a_deadline() {
 
     drop(client);
     handle.join().expect("run() returns cleanly after a draining shutdown");
+}
+
+/// `max_vars` outside `1..=TruthTable::MAX_VARS` is a configuration error at
+/// bind (no request of that arity could ever fit a truth table), never a
+/// panic; the bounds themselves are accepted.
+#[test]
+fn out_of_range_max_vars_is_refused_at_bind() {
+    let bind = |max_vars| {
+        Server::bind("127.0.0.1:0", ServiceConfig { max_vars, ..ServiceConfig::default() })
+    };
+    for max_vars in [0, TruthTable::MAX_VARS + 1, 63, 64, usize::MAX] {
+        let err = bind(max_vars).err().unwrap_or_else(|| panic!("max_vars {max_vars} accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "max_vars {max_vars}: {err}");
+        assert!(err.to_string().contains("max_vars"), "unhelpful error: {err}");
+    }
+    for max_vars in [1, TruthTable::MAX_VARS] {
+        assert!(bind(max_vars).is_ok(), "max_vars {max_vars} must be accepted");
+    }
 }
