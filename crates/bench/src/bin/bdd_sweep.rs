@@ -522,7 +522,7 @@ struct Args {
 const BENCH_SIFT_THRESHOLD: usize = 14336;
 
 fn bench_reorder() -> ReorderConfig {
-    ReorderConfig { sift_threshold: BENCH_SIFT_THRESHOLD, ..ReorderConfig::default() }
+    ReorderConfig { sift_threshold: BENCH_SIFT_THRESHOLD }
 }
 
 /// Exits with code 2 on any unknown flag, missing value or unparsable

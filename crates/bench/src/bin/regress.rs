@@ -36,7 +36,11 @@
 //!   server must report zero panics, the server-side per-verb request
 //!   counts must equal twice the client-side workload counts (both arms
 //!   replay the same workload; any gap means a request was lost or
-//!   double-counted), and the server-side p99 sits under a wide
+//!   double-counted), the cache accounting is pinned (`cache.hits +
+//!   cache.misses` equals the cached arm's request count, because each
+//!   cached request does exactly one lookup and the `no_cache` arm none,
+//!   and `cache.hits` equals the cached arm's client-side hits), and the
+//!   server-side p99 sits under a wide
 //!   `baseline × (1 + 4 × tolerance)` ceiling (absolute latencies differ
 //!   across hosts far more than same-process ratios do). Client-side
 //!   latencies are reported, never compared.
@@ -548,6 +552,27 @@ fn gate_scrape(
     let panics = counter(cur_scrape, "server.panics", &args.current)?;
     if panics != 0 {
         failures.push(format!("server counted {panics} panic(s) during a happy-path run"));
+    }
+
+    // Cache accounting: the cache sits in front of whole requests, so each
+    // cached-arm request is exactly one lookup and the no_cache arm does
+    // none; every server-side hit is a `cache: hit` reply.
+    let hits = counter(cur_scrape, "cache.hits", &args.current)?;
+    let lookups = hits + counter(cur_scrape, "cache.misses", &args.current)?;
+    let requests = u64_field(current, "requests", &args.current)?;
+    println!("cache lookups: {lookups} for {requests} cached-arm request(s), {hits} hit(s)");
+    if lookups != requests {
+        failures.push(format!(
+            "the server made {lookups} cache lookup(s), the cached arm sent {requests} request(s)"
+        ));
+    }
+    let cached_arm =
+        current.get("cached").ok_or_else(|| format!("{}: missing cached arm", args.current))?;
+    let client_hits = u64_field(cached_arm, "hits", &args.current)?;
+    if hits != client_hits {
+        failures.push(format!(
+            "the server counted {hits} cache hit(s), the cached arm's replies {client_hits}"
+        ));
     }
 
     // Zero-lost accounting: cold + cached arms each replay the workload once.

@@ -29,7 +29,8 @@
 //!
 //! The artifact (`BENCH_service.json`, schema `bidecomp-service-v1`)
 //! records the workload shape (exact, gated bit for bit), per-arm
-//! throughput and p50/p99 latency, the cached arm's hit rate, the speedup
+//! throughput, p50/p99 latency and `cache: hit` reply count, the cached
+//! arm's hit rate, the speedup
 //! and a `robustness` snapshot of the server's failure counters (all zero
 //! on the happy path); `regress` compares it against the committed
 //! `BENCH_service_baseline.json` with a tolerance band on the measured
@@ -376,6 +377,7 @@ fn arm_to_json(arm: &ArmResult) -> Vec<(String, Value)> {
         ("p50_ms".into(), Value::Num(round3(arm.p50_ms))),
         ("p99_ms".into(), Value::Num(round3(arm.p99_ms))),
         ("wall_ms".into(), Value::Num(round3(arm.wall_ms))),
+        ("hits".into(), json::num(arm.hits)),
     ]
 }
 

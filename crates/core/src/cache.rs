@@ -1,17 +1,23 @@
 //! Pluggable memoization of full-quotient results.
 //!
 //! The full quotient of Table II is the *unique* maximal-flexibility ISF for
-//! a given `(f, g, op)` triple (Corollaries 1–4), which makes it a perfect
-//! caching target: a cache hit is guaranteed to be bit-identical to a cold
-//! computation, so plugging a cache into the recursive synthesizer or the
-//! batch engine never changes any reported number — it only skips work.
+//! a given `(f, g, op)` triple (Corollaries 1–4), so a cache hit is
+//! guaranteed to be bit-identical to a cold computation: plugging a cache
+//! into the recursive synthesizer never changes any reported number.
 //!
-//! The trait lives here, in `core`, so the engine and the recursive
-//! synthesizer can consume a cache without depending on any particular
-//! implementation; the production implementation — a lock-striped sharded
-//! map keyed by NPN-canonical forms — is `service::NpnCache` in the
-//! `bidecomp-service` crate, which sits *above* this one in the dependency
-//! graph.
+//! It rarely saves work either. The quotient is a closed-form set
+//! expression (0.4–0.7 µs at 9–12 inputs in a release build), while a
+//! lookup in the NPN-keyed `service::NpnCache` first canonicalizes `f`
+//! (about 0.5 ms at 9 inputs, 3.5 ms at 12) and hits on few of the
+//! subproblems any measured workload produces (79 of 633 lookups when
+//! synthesizing `Suite::all()`). The batch sweeps and the
+//! service therefore recompute every quotient below the request; the hook
+//! stays for tools that replay the recursion against a cache.
+//!
+//! The trait lives here, in `core`, so the recursive synthesizer can consume
+//! a cache without depending on any particular implementation;
+//! `service::NpnCache` in the `bidecomp-service` crate, which sits *above*
+//! this one in the dependency graph, implements it.
 
 use std::fmt;
 use std::sync::Arc;

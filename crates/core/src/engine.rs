@@ -54,10 +54,8 @@ use benchmarks::{DetRng, Suite, SymbolicFunction};
 use boolfunc::{Isf, TruthTable};
 
 use crate::approximation::{is_valid_divisor, is_valid_divisor_bdd};
-use crate::cache::SharedQuotientCache;
 use crate::decompose::ApproxStrategy;
 use crate::operator::BinaryOp;
-use crate::oracle::Oracle;
 use crate::quotient::{full_quotient_bdd, quotient_off_bdd, QuotientScratch, QuotientSets};
 use crate::recursive::{RecursiveConfig, RecursiveSynthesizer};
 use crate::verify::{
@@ -102,20 +100,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// The representation executing the jobs.
     pub backend: Backend,
-    /// Optional shared memoization of full-quotient results, consulted by
-    /// the dense backend before each Table II computation (the BDD backend
-    /// keeps its own per-manager memo tables and ignores this). Because the
-    /// full quotient is unique, the report is bit-identical with or without
-    /// a cache — the flag only changes how much work is skipped when the
-    /// same `(f, g, op)` subproblem (up to the cache's normalization)
-    /// recurs across jobs.
-    pub quotient_cache: Option<SharedQuotientCache>,
-    /// Opt-in self-audit: replay a sampled fraction of dense jobs through
-    /// the SAT [`Oracle`] and record whether its
-    /// verdicts agree with the dense verifiers (see [`OracleConfig`]).
-    /// `None` (the default) runs no oracle; the BDD backend never audits
-    /// (the oracle needs the dense tables).
-    pub oracle: Option<OracleConfig>,
     /// Opt-in dynamic variable ordering for the BDD backend (the dense
     /// backend ignores it). `None` — the default — keeps the fixed identity
     /// order, which is what the bit-identical cross-backend property tests
@@ -138,53 +122,24 @@ pub struct EngineConfig {
 }
 
 /// Dynamic-variable-ordering policy of the BDD backend
-/// ([`EngineConfig::reorder`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// ([`EngineConfig::reorder`]). Every cover-described job's manager is
+/// seeded with a FORCE static order over its on/dc/noise covers before any
+/// node is built, and sifting runs under the [`bdd::SiftConfig`] defaults
+/// (20% growth headroom, no pass budget); only the trigger varies between
+/// callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReorderConfig {
-    /// Seed each cover-described job's manager with a FORCE static order
-    /// over its on/dc/noise covers before any node is built.
-    pub static_seed: bool,
     /// Live-node threshold arming the automatic sift trigger
     /// ([`bdd::SiftConfig::auto_threshold`]); 0 disables sifting and leaves
     /// only static seeding.
     pub sift_threshold: usize,
-    /// Growth factor a sifted variable may temporarily inflate the diagram
-    /// by ([`bdd::SiftConfig::max_growth`]).
-    pub max_growth: f64,
-    /// Live-node budget aborting a sift pass (0 = unbounded).
-    pub node_budget: usize,
 }
 
 impl Default for ReorderConfig {
-    /// FORCE seeding on, sifting armed at 2048 live nodes, 20% growth
-    /// headroom, no pass budget — tuned on `Suite::large()` where it cuts
-    /// peak node count without costing wall time.
+    /// Sifting armed at 2048 live nodes — tuned on `Suite::large()` where
+    /// it cuts peak node count without costing wall time.
     fn default() -> Self {
-        ReorderConfig { static_seed: true, sift_threshold: 2048, max_growth: 1.2, node_budget: 0 }
-    }
-}
-
-/// Configuration of the sampled SAT-oracle self-audit of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleConfig {
-    /// Audit one in `sample_every` jobs (`1` audits every job, `0` is
-    /// treated as `1`). Selection is a pure function of the job seed, so
-    /// which jobs are audited is independent of thread count and
-    /// scheduling.
-    pub sample_every: u64,
-}
-
-impl Default for OracleConfig {
-    /// Audit one job in 16.
-    fn default() -> Self {
-        OracleConfig { sample_every: 16 }
-    }
-}
-
-impl OracleConfig {
-    /// `true` if the job with divisor seed `job_seed` is audited.
-    pub fn samples(&self, job_seed: u64) -> bool {
-        self.sample_every <= 1 || job_seed.is_multiple_of(self.sample_every)
+        ReorderConfig { sift_threshold: 2048 }
     }
 }
 
@@ -197,8 +152,6 @@ impl Default for EngineConfig {
             max_outputs: 6,
             seed: 0xB1DE_C04D,
             backend: Backend::Dense,
-            quotient_cache: None,
-            oracle: None,
             reorder: None,
             obs: None,
         }
@@ -335,13 +288,6 @@ pub struct JobResult {
     /// verifications (0 on the dense backend). Deterministic: each job runs
     /// in a freshly cleared manager.
     pub bdd_nodes: u64,
-    /// `true` if the opt-in SAT oracle replayed this job
-    /// ([`EngineConfig::oracle`]; dense backend only).
-    pub oracle_audited: bool,
-    /// `false` iff the oracle audited this job and one of its verdicts
-    /// (divisor validity, Lemmas 1–5, Corollaries 1–4) disagreed with the
-    /// dense backend. Always `true` for unaudited jobs.
-    pub oracle_agreed: bool,
     /// Wall time of the job in nanoseconds (divisor + quotient + both
     /// verifications). Excluded from determinism comparisons.
     pub nanos: u64,
@@ -351,9 +297,7 @@ impl JobResult {
     /// The scheduling-independent portion of the result (everything except
     /// the wall time), for bit-identical comparisons across thread counts.
     #[allow(clippy::type_complexity)]
-    pub fn semantic(
-        &self,
-    ) -> (&str, usize, BinaryOp, usize, u64, u64, u64, u64, bool, bool, u64, (bool, bool)) {
+    pub fn semantic(&self) -> (&str, usize, BinaryOp, usize, u64, u64, u64, u64, bool, bool, u64) {
         (
             &self.instance,
             self.output,
@@ -366,7 +310,6 @@ impl JobResult {
             self.verified,
             self.maximal,
             self.bdd_nodes,
-            (self.oracle_audited, self.oracle_agreed),
         )
     }
 }
@@ -428,18 +371,6 @@ impl SweepReport {
     pub fn all_verified(&self) -> bool {
         self.jobs.iter().all(|j| j.verified && j.maximal)
     }
-
-    /// Number of jobs the opt-in SAT oracle audited
-    /// ([`EngineConfig::oracle`]).
-    pub fn oracle_audited(&self) -> u64 {
-        self.jobs.iter().filter(|j| j.oracle_audited).count() as u64
-    }
-
-    /// Number of audited jobs on which the oracle disagreed with the dense
-    /// verdicts. Anything other than 0 is a cross-backend bug.
-    pub fn oracle_disagreements(&self) -> u64 {
-        self.jobs.iter().filter(|j| !j.oracle_agreed).count() as u64
-    }
 }
 
 /// One `(instance, output, op)` triple by index. `symbolic` selects which of
@@ -486,19 +417,18 @@ struct EngineRecorder {
     tick: u64,
     quotient_nanos: u64,
     verify_nanos: u64,
-    oracle_nanos: u64,
     latency: obs::LocalHistogram,
     bdd: bdd::CacheStats,
 }
 
 /// One job in this many (per worker, the first always) has its phase
 /// boundaries clocked when a registry is attached ([`EngineConfig::obs`]).
-/// Dense quotient jobs are sub-microsecond, so the two extra `Instant::now`
-/// calls a phase split needs would cost tens of percent if taken on every
+/// Dense quotient jobs are sub-microsecond, so the extra `Instant::now`
+/// call a phase split needs would cost tens of percent if taken on every
 /// job; sampling keeps the whole observability layer inside the overhead
 /// budget the `obs_overhead` benchmark gates. Job counts, the job-latency
 /// histogram and the BDD work counters are exact — only the
-/// `engine.{quotient,verify,oracle}_nanos` phase timers are estimates over
+/// `engine.{quotient,verify}_nanos` phase timers are estimates over
 /// the `engine.clocked_jobs` sample.
 pub const PHASE_SAMPLE: u64 = 16;
 
@@ -512,7 +442,6 @@ impl EngineRecorder {
             tick: 0,
             quotient_nanos: 0,
             verify_nanos: 0,
-            oracle_nanos: 0,
             latency: obs::LocalHistogram::new(),
             bdd: bdd::CacheStats::default(),
         }
@@ -527,16 +456,14 @@ impl EngineRecorder {
     }
 
     /// Accounts one finished job: total wall always, plus — for clocked
-    /// jobs — its phase split (divisor+quotient, verification+counting,
-    /// optional oracle audit).
-    fn record_job(&mut self, nanos: u64, phases: Option<(u64, u64, u64)>) {
+    /// jobs — its phase split (divisor+quotient, verification+counting).
+    fn record_job(&mut self, nanos: u64, quotient: Option<u64>) {
         self.jobs += 1;
         self.latency.record(nanos / 1_000);
-        if let Some((quotient, verify, oracle)) = phases {
+        if let Some(quotient) = quotient {
             self.clocked_jobs += 1;
             self.quotient_nanos += quotient;
-            self.verify_nanos += verify;
-            self.oracle_nanos += oracle;
+            self.verify_nanos += nanos.saturating_sub(quotient);
         }
     }
 }
@@ -548,7 +475,6 @@ impl Drop for EngineRecorder {
         registry.add("engine.clocked_jobs", self.clocked_jobs);
         registry.add("engine.quotient_nanos", self.quotient_nanos);
         registry.add("engine.verify_nanos", self.verify_nanos);
-        registry.add("engine.oracle_nanos", self.oracle_nanos);
         self.latency.merge_into(&registry.histogram("engine.job_micros"));
         if self.has_bdd {
             self.bdd.merge_into(registry, "bdd.mgr");
@@ -812,25 +738,9 @@ fn run_job_dense(
     let seed = config.job_seed(spec.instance, spec.output, spec.op_index);
     let g = seeded_divisor(f, op, seed);
     buffers.ensure(f.num_vars());
-    match config.quotient_cache.as_deref().and_then(|c| c.lookup(f, &g, op)) {
-        Some(h) => {
-            // Cache hit: the full quotient is unique, so the cached sets are
-            // bit-identical to what quotient_sets_into would compute.
-            buffers.sets.on.copy_from(h.on());
-            buffers.sets.dc.copy_from(h.dc());
-            h.off_into(&mut buffers.sets.off);
-        }
-        None => {
-            buffers.scratch.quotient_sets_into(f, &g, op, &mut buffers.sets);
-            if let Some(cache) = config.quotient_cache.as_deref() {
-                let h = Isf::new(buffers.sets.on.clone(), buffers.sets.dc.clone())
-                    .expect("Table II on/dc sets are disjoint");
-                cache.store(f, &g, op, &h);
-            }
-        }
-    }
+    buffers.scratch.quotient_sets_into(f, &g, op, &mut buffers.sets);
     // Phase boundaries are only clocked on the recorder's job sample
-    // ([`PHASE_SAMPLE`]): two extra `Instant::now` calls on clocked jobs,
+    // ([`PHASE_SAMPLE`]): one extra `Instant::now` call on clocked jobs,
     // nothing otherwise.
     let clock = buffers.rec.as_mut().is_some_and(EngineRecorder::clock_phases);
     let quotient_done = clock.then(Instant::now);
@@ -838,35 +748,12 @@ fn run_job_dense(
     let verified = verify_decomposition_sets(f, &g, &sets.on, &sets.dc, op);
     let maximal = verify_maximal_flexibility_sets(f, &g, &sets.on, &sets.dc, op);
     let divisor_errors = care_errors(f, &g);
-    let verify_done = clock.then(Instant::now);
-
-    // Opt-in self-audit: replay the job's three verdicts through the SAT
-    // oracle. Sampling keys on the job seed, so the audited subset — like
-    // everything else in the report — is independent of scheduling.
-    let (oracle_audited, oracle_agreed) = match &config.oracle {
-        Some(oracle_config) if oracle_config.samples(seed) => {
-            let h = Isf::new(sets.on.clone(), sets.dc.clone())
-                .expect("Table II on/dc sets are disjoint");
-            let divisor_agreed =
-                Oracle::check_divisor(f, &g, op).is_ok() == is_valid_divisor(f, &g, op);
-            let lemmas_agreed = Oracle::check_decomposition(f, &g, &h, op).is_ok() == verified;
-            let corollaries_agreed =
-                Oracle::check_maximal_flexibility(f, &g, &h, op).is_ok() == maximal;
-            (true, divisor_agreed && lemmas_agreed && corollaries_agreed)
-        }
-        _ => (false, true),
-    };
 
     let (on_minterms, dc_minterms, off_minterms) =
         (sets.on.count_ones(), sets.dc.count_ones(), sets.off.count_ones());
     let nanos = start.elapsed().as_nanos() as u64;
     if let Some(rec) = &mut buffers.rec {
-        let phases = quotient_done.zip(verify_done).map(|(qd, vd)| {
-            let quotient = (qd - start).as_nanos() as u64;
-            let through_verify = (vd - start).as_nanos() as u64;
-            (quotient, through_verify - quotient, nanos.saturating_sub(through_verify))
-        });
-        rec.record_job(nanos, phases);
+        rec.record_job(nanos, quotient_done.map(|qd| (qd - start).as_nanos() as u64));
     }
     JobResult {
         instance: inst.name().to_string(),
@@ -880,8 +767,6 @@ fn run_job_dense(
         verified,
         maximal,
         bdd_nodes: 0,
-        oracle_audited,
-        oracle_agreed,
         nanos,
     }
 }
@@ -916,8 +801,6 @@ fn run_job_bdd(
     let mgr = buffers.manager_for(num_vars);
     if let Some(rc) = &config.reorder {
         mgr.set_sift_config(SiftConfig {
-            max_growth: rc.max_growth,
-            node_budget: rc.node_budget,
             auto_threshold: rc.sift_threshold,
             ..SiftConfig::default()
         });
@@ -929,12 +812,10 @@ fn run_job_bdd(
         // structure, so the manager can start from an order in which
         // cubewise-connected variables are adjacent. Must happen before the
         // first node is built; the manager is freshly cleared here.
-        if let Some(rc) = &config.reorder {
-            if rc.static_seed {
-                if let SymbolicFunction::CoverIsf { on, dc } = &inst.outputs()[spec.output] {
-                    let order = force_order(num_vars, &[on, dc, &cover]);
-                    mgr.set_order(&order);
-                }
+        if config.reorder.is_some() {
+            if let SymbolicFunction::CoverIsf { on, dc } = &inst.outputs()[spec.output] {
+                let order = force_order(num_vars, &[on, dc, &cover]);
+                mgr.set_order(&order);
             }
         }
         let (f_on, f_dc) = inst.build_output(mgr, spec.output);
@@ -983,11 +864,7 @@ fn run_job_bdd(
     let bdd_nodes = mgr.num_nodes() as u64;
     let nanos = start.elapsed().as_nanos() as u64;
     if let Some(rec) = &mut buffers.rec {
-        let phases = quotient_done.map(|qd| {
-            let quotient = (qd - start).as_nanos() as u64;
-            (quotient, nanos.saturating_sub(quotient), 0)
-        });
-        rec.record_job(nanos, phases);
+        rec.record_job(nanos, quotient_done.map(|qd| (qd - start).as_nanos() as u64));
         // `manager_for` cleared the manager (and its stats) when this job
         // began, so the accumulated stats are exactly this job's counts.
         let stats = buffers.mgr.as_ref().expect("manager ensured above").stats();
@@ -1005,10 +882,6 @@ fn run_job_bdd(
         verified,
         maximal,
         bdd_nodes,
-        // The oracle audit needs dense tables; symbolic jobs are never
-        // audited, so the BDD backend reports every job as unaudited.
-        oracle_audited: false,
-        oracle_agreed: true,
         nanos,
     }
 }
@@ -1041,11 +914,6 @@ pub struct SynthesisConfig {
     pub seed: u64,
     /// The portfolio and termination knobs of the recursive synthesizer.
     pub recursive: RecursiveConfig,
-    /// Optional shared quotient memoization, plugged into every worker's
-    /// synthesizer so subproblems recur across levels *and* jobs (see
-    /// [`EngineConfig::quotient_cache`]; results are bit-identical either
-    /// way).
-    pub quotient_cache: Option<SharedQuotientCache>,
     /// Optional observability registry (see [`EngineConfig::obs`]): the
     /// synthesis phase timer and per-job latency histogram are merged in
     /// after the pool joins. Results are bit-identical with or without it.
@@ -1060,7 +928,6 @@ impl Default for SynthesisConfig {
             max_outputs: 6,
             seed: 0xB1DE_C04D,
             recursive: RecursiveConfig::default(),
-            quotient_cache: None,
             obs: None,
         }
     }
@@ -1230,13 +1097,7 @@ pub fn sweep_synthesis(suite: &Suite, config: &SynthesisConfig) -> SynthesisRepo
     let jobs = run_pool(
         &specs,
         threads,
-        || {
-            let synthesizer = RecursiveSynthesizer::new(config.recursive.clone());
-            match config.quotient_cache.clone() {
-                Some(cache) => synthesizer.with_quotient_cache(cache),
-                None => synthesizer,
-            }
-        },
+        || RecursiveSynthesizer::new(config.recursive.clone()),
         |synthesizer, &(instance, output)| {
             let inst = &instances[instance];
             let f = &inst.outputs()[output];
@@ -1408,41 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_audit_samples_jobs_and_always_agrees() {
-        let suite = Suite::smoke();
-        let plain = sweep(&suite, &EngineConfig { threads: 2, ..EngineConfig::default() });
-        assert_eq!(plain.oracle_audited(), 0, "the audit is opt-in");
-        assert_eq!(plain.oracle_disagreements(), 0);
-
-        let config = EngineConfig {
-            threads: 2,
-            oracle: Some(OracleConfig { sample_every: 1 }),
-            ..EngineConfig::default()
-        };
-        let audited = sweep(&suite, &config);
-        assert_eq!(audited.oracle_audited(), audited.total_jobs() as u64);
-        assert_eq!(audited.oracle_disagreements(), 0, "three-way disagreement is a bug");
-        // The audit only observes: every other field is bit-identical to the
-        // unaudited sweep.
-        for (a, b) in plain.jobs.iter().zip(&audited.jobs) {
-            let (mut sa, sb) = (a.semantic(), b.semantic());
-            sa.11 .0 = sb.11 .0; // oracle_audited is the opt-in difference
-            assert_eq!(sa, sb);
-        }
-
-        // Sparse sampling audits a deterministic, seed-keyed subset.
-        let sparse_config =
-            EngineConfig { oracle: Some(OracleConfig { sample_every: 4 }), ..config };
-        let sparse = sweep(&suite, &sparse_config);
-        assert!(sparse.oracle_audited() < sparse.total_jobs() as u64);
-        assert!(sparse.oracle_audited() > 0, "1-in-4 sampling should hit some of 150 jobs");
-        let again = sweep(&suite, &sparse_config);
-        for (a, b) in sparse.jobs.iter().zip(&again.jobs) {
-            assert_eq!(a.semantic(), b.semantic(), "sampling must be deterministic");
-        }
-    }
-
-    #[test]
     fn seeded_divisors_are_valid_for_every_operator() {
         let suite = Suite::smoke();
         for inst in suite.instances() {
@@ -1548,60 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_with_quotient_cache_is_bit_identical() {
-        use crate::cache::testutil::MapCache;
-        use std::sync::atomic::Ordering;
-        use std::sync::Arc;
-
-        let suite = Suite::smoke();
-        let plain = sweep(&suite, &EngineConfig { threads: 2, ..EngineConfig::default() });
-        let cache = Arc::new(MapCache::default());
-        let config = EngineConfig {
-            threads: 2,
-            quotient_cache: Some(cache.clone()),
-            ..EngineConfig::default()
-        };
-        let cached = sweep(&suite, &config);
-        // Run the same sweep again so every job replays from the cache.
-        let warm = sweep(&suite, &config);
-        assert_eq!(plain.total_jobs(), cached.total_jobs());
-        for (a, b, c) in
-            plain.jobs.iter().zip(&cached.jobs).zip(&warm.jobs).map(|((a, b), c)| (a, b, c))
-        {
-            assert_eq!(a.semantic(), b.semantic());
-            assert_eq!(a.semantic(), c.semantic());
-        }
-        assert_eq!(
-            cache.hits.load(Ordering::Relaxed),
-            plain.total_jobs() as u64,
-            "the second sweep must answer every job from the cache"
-        );
-    }
-
-    #[test]
-    fn synthesis_sweep_with_quotient_cache_is_bit_identical() {
-        use crate::cache::testutil::MapCache;
-        use std::sync::atomic::Ordering;
-        use std::sync::Arc;
-
-        let suite = Suite::smoke();
-        let plain = sweep_synthesis(&suite, &SynthesisConfig::default());
-        let cache = Arc::new(MapCache::default());
-        let config =
-            SynthesisConfig { quotient_cache: Some(cache.clone()), ..SynthesisConfig::default() };
-        let cached = sweep_synthesis(&suite, &config);
-        let warm = sweep_synthesis(&suite, &config);
-        assert_eq!(plain.total_jobs(), cached.total_jobs());
-        for (a, b) in plain.jobs.iter().zip(&cached.jobs) {
-            assert_eq!(a.semantic(), b.semantic());
-        }
-        for (a, b) in plain.jobs.iter().zip(&warm.jobs) {
-            assert_eq!(a.semantic(), b.semantic());
-        }
-        assert!(cache.hits.load(Ordering::Relaxed) > 0, "the warm sweep must hit");
-    }
-
-    #[test]
     fn bdd_backend_is_deterministic_across_thread_counts() {
         let suite = Suite::large();
         let base = EngineConfig {
@@ -1633,10 +1405,7 @@ mod tests {
         let fixed = sweep(&suite, &base.clone());
         let reordered = sweep(
             &suite,
-            &EngineConfig {
-                reorder: Some(ReorderConfig { sift_threshold: 512, ..ReorderConfig::default() }),
-                ..base
-            },
+            &EngineConfig { reorder: Some(ReorderConfig { sift_threshold: 512 }), ..base },
         );
         assert_eq!(fixed.total_jobs(), reordered.total_jobs());
         let mut some_job_shrank = false;
@@ -1669,7 +1438,7 @@ mod tests {
             backend: Backend::Bdd,
             max_outputs: 1,
             ops: vec![BinaryOp::And, BinaryOp::Xor],
-            reorder: Some(ReorderConfig { sift_threshold: 512, ..ReorderConfig::default() }),
+            reorder: Some(ReorderConfig { sift_threshold: 512 }),
             ..EngineConfig::default()
         };
         let one = sweep(&suite, &EngineConfig { threads: 1, ..base.clone() });

@@ -36,9 +36,12 @@
 //!   sweep kind ([`sweep_synthesis`]) fans the recursive synthesizer over a
 //!   suite on the same pool;
 //! * [`cache`] — the [`QuotientCache`] trait: pluggable memoization of
-//!   full-quotient results (sound because the full quotient is unique), with
-//!   hooks in both the engine and the recursive synthesizer; the production
-//!   NPN-canonical implementation is `service::NpnCache`;
+//!   full-quotient results (sound because the full quotient is unique) for
+//!   the recursive synthesizer. Neither sweep kind nor the service plugs one
+//!   in: a Table II quotient takes under a microsecond at 9–12 inputs,
+//!   while an NPN-keyed lookup first pays 0.5–3.5 ms of canonicalization and
+//!   almost never hits. The NPN-canonical implementation is
+//!   `service::NpnCache`;
 //! * [`recursive`] — the recursive synthesis engine: cost-driven multi-level
 //!   bi-decomposition with a configurable `(operator, strategy)` portfolio,
 //!   a [`techmap::Network`] emitter and a [`DecompositionTree`] report, every
@@ -86,7 +89,7 @@ pub use decompose::{
 };
 pub use engine::{
     run_pool, seeded_divisor, seeded_divisor_bdd, sweep, sweep_synthesis, try_run_pool, Backend,
-    EngineConfig, JobPanic, JobResult, OperatorStats, OracleConfig, SweepReport, SynthesisConfig,
+    EngineConfig, JobPanic, JobResult, OperatorStats, SweepReport, SynthesisConfig,
     SynthesisJobResult, SynthesisReport,
 };
 pub use error::BidecompError;

@@ -278,7 +278,9 @@ impl RecursiveSynthesizer {
     /// cache's normalization) quotient subproblems are answered from the
     /// cache across levels — and, because the cache is shared, across
     /// concurrent synthesis jobs. The full quotient is unique, so caching
-    /// never changes a result bit; it only skips recomputation.
+    /// never changes a result bit. It only saves time when a lookup costs
+    /// less than the sub-microsecond recomputation, which an NPN-keyed
+    /// lookup does not (see [`crate::cache`]).
     pub fn with_quotient_cache(mut self, cache: SharedQuotientCache) -> Self {
         self.cache = Some(cache);
         self

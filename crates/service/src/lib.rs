@@ -4,9 +4,9 @@
 //! `bidecomp` engines.
 //!
 //! The full quotient is a pure function of `(f, g, op)`, and real synthesis
-//! workloads keep asking about the same few subfunctions wearing different
-//! variable orders and polarities — across outputs, recursion levels and
-//! whole circuits. This crate turns that observation into a server:
+//! workloads keep asking about the same few functions wearing different
+//! variable orders and polarities — across outputs and whole circuits. This
+//! crate turns that observation into a server:
 //!
 //! * [`npn`] — word-parallel NPN canonicalization: a [`CanonicalKey`] per
 //!   equivalence class plus the [`npn::NpnTransform`] needed to map a cached
@@ -15,10 +15,14 @@
 //! * [`cache`] — a lock-striped, sharded, bounded store with CLOCK eviction
 //!   and hit/miss/eviction statistics;
 //! * [`NpnCache`] — the two glued together: an NPN-keyed memo of completed
-//!   quotient and synthesis results. It implements
-//!   [`bidecomp::QuotientCache`], so it plugs directly into
-//!   `bidecomp::engine::sweep`, `sweep_synthesis` and the recursive
-//!   synthesizer;
+//!   request results (`synthesize` networks and `decompose` quotients). The
+//!   server canonicalizes each request's function once and passes the
+//!   [`Canonical`] to every probe, lookup and store. The cache sits in front
+//!   of whole requests only: a canonicalization costs about 0.5 ms at 9
+//!   inputs and 3.5 ms at 12, a Table II quotient under a microsecond, and
+//!   the quotient subproblems inside a synthesis almost never recur (no
+//!   hit in 600 lookups on 200 never-repeated 9–12-input functions), so the
+//!   recursion recomputes them;
 //! * [`server`] — a persistent localhost TCP service speaking line-delimited
 //!   JSON ([`json`]), fronting a request queue drained in batches through
 //!   `bidecomp::engine::run_pool`, with `decompose` / `synthesize` /
@@ -43,8 +47,6 @@ pub mod cache;
 pub mod json;
 pub mod npn;
 pub mod server;
-
-use std::sync::Arc;
 
 use bidecomp::{BinaryOp, QuotientCache};
 use boolfunc::{Isf, TruthTable};
@@ -111,22 +113,23 @@ pub struct CachedSynthesis {
 
 /// The NPN-canonical result cache: [`ShardedCache`] keyed by [`CacheKey`].
 ///
-/// Implements [`bidecomp::QuotientCache`], so one instance can
-/// simultaneously serve the TCP server's verbs, the batch engine's sweep
-/// and every level of the recursive synthesizer.
+/// Every method takes the queried function's [`Canonical`] form, so a
+/// caller canonicalizes once per request however many times it probes,
+/// looks up and stores.
 ///
 /// ```rust
-/// use bidecomp::{full_quotient, BinaryOp, QuotientCache};
+/// use bidecomp::{full_quotient, BinaryOp};
 /// use boolfunc::Isf;
-/// use service::NpnCache;
+/// use service::{canonicalize, NpnCache};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let cache = NpnCache::new(1024, 8);
 /// let f = Isf::from_cover_str(4, &["11-1", "-111"], &[])?;
 /// let g = boolfunc::Cover::from_strs(4, &["-1-1"])?.to_truth_table();
 /// let h = full_quotient(&f, &g, BinaryOp::And)?;
-/// cache.store(&f, &g, BinaryOp::And, &h);
-/// assert_eq!(cache.lookup(&f, &g, BinaryOp::And), Some(h));
+/// let canon = canonicalize(&f);
+/// cache.store_quotient(&canon, &g, BinaryOp::And, &h);
+/// assert_eq!(cache.lookup_quotient(&canon, &g, BinaryOp::And), Some(h));
 /// assert_eq!(cache.stats().hits, 1);
 /// # Ok(())
 /// # }
@@ -134,31 +137,6 @@ pub struct CachedSynthesis {
 #[derive(Debug)]
 pub struct NpnCache {
     store: ShardedCache<CacheKey, CacheValue>,
-}
-
-thread_local! {
-    /// Single-entry canonicalization memo. Every miss path canonicalizes the
-    /// same function twice in a row (`lookup`, then `store`), and the server
-    /// canonicalizes once more when storing a synthesis — remembering the
-    /// last result per thread removes the duplicate NPN searches without any
-    /// cross-thread traffic.
-    static LAST_CANONICAL: std::cell::RefCell<Option<(Isf, Canonical)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// [`canonicalize`] through the per-thread single-entry memo.
-fn canonical_of(f: &Isf) -> Canonical {
-    LAST_CANONICAL.with(|cell| {
-        let mut cell = cell.borrow_mut();
-        if let Some((last_f, canon)) = cell.as_ref() {
-            if last_f == f {
-                return canon.clone();
-            }
-        }
-        let canon = canonicalize(f);
-        *cell = Some((f.clone(), canon.clone()));
-        canon
-    })
 }
 
 impl NpnCache {
@@ -172,12 +150,6 @@ impl NpnCache {
     /// `registry` under `cache.*` (see [`ShardedCache::with_registry`]).
     pub fn with_registry(capacity: usize, shards: usize, registry: &obs::Registry) -> Self {
         NpnCache { store: ShardedCache::with_registry(capacity, shards, registry) }
-    }
-
-    /// A shared handle, ready to plug into `EngineConfig::quotient_cache`
-    /// and friends.
-    pub fn shared(capacity: usize, shards: usize) -> Arc<Self> {
-        Arc::new(Self::new(capacity, shards))
     }
 
     /// Counter snapshot of the underlying store.
@@ -199,7 +171,7 @@ impl NpnCache {
         }
     }
 
-    /// Probes whether [`QuotientCache::lookup`] would hit, without touching
+    /// Probes whether [`NpnCache::lookup_quotient`] would hit, without touching
     /// the hit/miss counters or the CLOCK recency bits. The server's
     /// admission controller uses this to keep answering cached work while
     /// shedding: a probe must not make the entry look hotter (or the stats
@@ -209,49 +181,59 @@ impl NpnCache {
     /// `cache.probe_misses` counters (see [`ShardedCache::contains`]) — so
     /// admission-control traffic is visible without distorting the hit
     /// rate. They still deliberately bypass the CLOCK `referenced` touch.
-    pub fn has_quotient(&self, f: &Isf, g: &TruthTable, op: BinaryOp) -> bool {
-        let canon = canonical_of(f);
-        self.store.contains(&Self::quotient_key(&canon, g, op))
+    pub fn has_quotient(&self, canon: &Canonical, g: &TruthTable, op: BinaryOp) -> bool {
+        self.store.contains(&Self::quotient_key(canon, g, op))
     }
 
     /// Probes whether [`NpnCache::lookup_synthesis`] would hit — the
     /// probe-counted twin of [`NpnCache::has_quotient`].
-    pub fn has_synthesis(&self, f: &Isf, config: u64) -> bool {
-        let canon = canonical_of(f);
-        self.store.contains(&CacheKey::Synthesis { f: canon.key, config })
+    pub fn has_synthesis(&self, canon: &Canonical, config: u64) -> bool {
+        self.store.contains(&CacheKey::Synthesis { f: canon.key.clone(), config })
     }
 
-    /// Looks up the synthesis outcome of the NPN class of `f` under the
-    /// configuration fingerprint, returning the cached canonical-space
-    /// value together with the transform that canonicalized `f` (callers
-    /// rewire with its inverse).
-    pub fn lookup_synthesis(&self, f: &Isf, config: u64) -> Option<(CachedSynthesis, Canonical)> {
-        let canon = canonical_of(f);
-        let key = CacheKey::Synthesis { f: canon.key.clone(), config };
-        match self.store.get(&key) {
-            Some(CacheValue::Synthesis(cached)) => Some((cached, canon)),
-            Some(CacheValue::Quotient(_)) => unreachable!("synthesis keys only store syntheses"),
-            None => None,
+    /// The full quotient of `(f, g, op)`, where `canon` is `f`'s canonical
+    /// form, mapped back from the canonical space; `None` on a miss.
+    pub fn lookup_quotient(&self, canon: &Canonical, g: &TruthTable, op: BinaryOp) -> Option<Isf> {
+        match self.store.get(&Self::quotient_key(canon, g, op))? {
+            CacheValue::Quotient(h_image) => Some(canon.transform.inverse().permute_isf(&h_image)),
+            CacheValue::Synthesis(_) => unreachable!("quotient keys only store quotients"),
         }
     }
 
-    /// Stores a completed synthesis for the NPN class of `f`: the network
-    /// (realizing `f`) is rewired into the canonical space before storage.
+    /// Records the full quotient `h` of `(f, g, op)`, where `canon` is
+    /// `f`'s canonical form, in the canonical space.
+    pub fn store_quotient(&self, canon: &Canonical, g: &TruthTable, op: BinaryOp, h: &Isf) {
+        let key = Self::quotient_key(canon, g, op);
+        self.store.insert(key, CacheValue::Quotient(canon.transform.permute_isf(h)));
+    }
+
+    /// Looks up the synthesis outcome of the NPN class with canonical form
+    /// `canon` under the configuration fingerprint, as the canonical-space
+    /// value (callers rewire it with `canon.transform.inverse()`).
+    pub fn lookup_synthesis(&self, canon: &Canonical, config: u64) -> Option<CachedSynthesis> {
+        match self.store.get(&CacheKey::Synthesis { f: canon.key.clone(), config })? {
+            CacheValue::Synthesis(cached) => Some(cached),
+            CacheValue::Quotient(_) => unreachable!("synthesis keys only store syntheses"),
+        }
+    }
+
+    /// Stores a completed synthesis for the NPN class with canonical form
+    /// `canon`: the network (realizing the queried function) is rewired
+    /// into the canonical space before storage.
     ///
     /// # Panics
     ///
-    /// Panics if `network` is not a single-output network over
-    /// `f.num_vars()` inputs.
+    /// Panics if `network` is not a single-output network over the queried
+    /// function's inputs.
     pub fn store_synthesis(
         &self,
-        f: &Isf,
+        canon: &Canonical,
         config: u64,
         network: &Network,
         flat_area: f64,
         depth: usize,
         branches: usize,
     ) {
-        let canon = canonical_of(f);
         let key = CacheKey::Synthesis { f: canon.key.clone(), config };
         let canonical_network = canon.transform.rewire_network(network);
         self.store.insert(
@@ -266,23 +248,16 @@ impl NpnCache {
     }
 }
 
+/// The trait form canonicalizes `f` on every call; callers that hold the
+/// [`Canonical`] use [`NpnCache::lookup_quotient`] and
+/// [`NpnCache::store_quotient`] instead.
 impl QuotientCache for NpnCache {
     fn lookup(&self, f: &Isf, g: &TruthTable, op: BinaryOp) -> Option<Isf> {
-        let canon = canonical_of(f);
-        let key = Self::quotient_key(&canon, g, op);
-        match self.store.get(&key) {
-            Some(CacheValue::Quotient(h_image)) => {
-                Some(canon.transform.inverse().permute_isf(&h_image))
-            }
-            Some(CacheValue::Synthesis(_)) => unreachable!("quotient keys only store quotients"),
-            None => None,
-        }
+        self.lookup_quotient(&canonicalize(f), g, op)
     }
 
     fn store(&self, f: &Isf, g: &TruthTable, op: BinaryOp, h: &Isf) {
-        let canon = canonical_of(f);
-        let key = Self::quotient_key(&canon, g, op);
-        self.store.insert(key, CacheValue::Quotient(canon.transform.permute_isf(h)));
+        self.store_quotient(&canonicalize(f), g, op, h);
     }
 }
 
@@ -355,18 +330,19 @@ mod tests {
         let f = Isf::from_cover_str(4, &["11-1", "-111"], &[]).unwrap();
         let g = boolfunc::Cover::from_strs(4, &["-1-1"]).unwrap().to_truth_table();
         let h = full_quotient(&f, &g, BinaryOp::And).unwrap();
-        cache.store(&f, &g, BinaryOp::And, &h);
+        let canon = canonicalize(&f);
+        cache.store_quotient(&canon, &g, BinaryOp::And, &h);
         // The admission probe sees the entry without recording a hit.
-        assert!(cache.has_quotient(&f, &g, BinaryOp::And));
-        assert!(!cache.has_quotient(&f, &g, BinaryOp::Or));
+        assert!(cache.has_quotient(&canon, &g, BinaryOp::And));
+        assert!(!cache.has_quotient(&canon, &g, BinaryOp::Or));
         assert_eq!(cache.stats().hits, 0, "probes must not count as hits");
         assert_eq!(cache.stats().misses, 0, "probes must not count as misses");
         // Same f and g, different op: distinct problem, must miss.
-        assert_eq!(cache.lookup(&f, &g, BinaryOp::ConverseNonImplication), None);
+        assert_eq!(cache.lookup_quotient(&canon, &g, BinaryOp::ConverseNonImplication), None);
         // Same f and op, different g: must miss.
         let g2 = TruthTable::one(4);
-        assert_eq!(cache.lookup(&f, &g2, BinaryOp::And), None);
-        assert_eq!(cache.lookup(&f, &g, BinaryOp::And), Some(h));
+        assert_eq!(cache.lookup_quotient(&canon, &g2, BinaryOp::And), None);
+        assert_eq!(cache.lookup_quotient(&canon, &g, BinaryOp::And), Some(h));
     }
 
     #[test]
@@ -376,7 +352,7 @@ mod tests {
         let f = Isf::from_cover_str(4, &["1-10", "1-01", "-111", "-100"], &[]).unwrap();
         let result = RecursiveSynthesizer::default().synthesize(&f).unwrap();
         cache.store_synthesis(
-            &f,
+            &canonicalize(&f),
             7,
             &result.network,
             result.flat_area,
@@ -386,7 +362,8 @@ mod tests {
         // Query an NPN variant of f.
         let t = NpnTransform::new(vec![2, 0, 3, 1], 0b1010, true);
         let f2 = t.apply_isf(&f);
-        let (cached, canon) = cache.lookup_synthesis(&f2, 7).expect("same class must hit");
+        let canon = canonicalize(&f2);
+        let cached = cache.lookup_synthesis(&canon, 7).expect("same class must hit");
         assert_eq!(cached.depth, result.tree.depth());
         let rewired = canon.transform.inverse().rewire_network(&cached.network);
         assert!(
@@ -394,6 +371,6 @@ mod tests {
             "the rewired network must realize the queried function"
         );
         // A different config fingerprint is a different problem.
-        assert!(cache.lookup_synthesis(&f2, 8).is_none());
+        assert!(cache.lookup_synthesis(&canon, 8).is_none());
     }
 }

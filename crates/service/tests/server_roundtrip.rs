@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use bidecomp::{full_quotient, BinaryOp};
+use bidecomp::{full_quotient, BinaryOp, RecursiveSynthesizer};
 use boolfunc::{Isf, TruthTable};
 use service::json::Value;
 use service::server::{table_from_hex, table_to_hex};
@@ -160,6 +160,58 @@ fn full_protocol_round_trip() {
     assert!(bool_field(&response, "ok"));
     drop(client);
     drop(other);
+    handle.join().expect("server thread");
+}
+
+/// The `(hits, misses, insertions)` of the server's cache, via `stats`.
+fn cache_counts(client: &mut Client) -> (u64, u64, u64) {
+    let stats = client.roundtrip(r#"{"verb":"stats"}"#);
+    let cache = stats.get("cache").expect("cache stats present");
+    (u64_field(cache, "hits"), u64_field(cache, "misses"), u64_field(cache, "insertions"))
+}
+
+fn synthesize_line(f: &Isf, no_cache: bool) -> String {
+    format!(
+        r#"{{"verb":"synthesize","num_vars":{},"f_on":"{}","f_dc":"{}","no_cache":{no_cache}}}"#,
+        f.num_vars(),
+        table_to_hex(f.on()),
+        table_to_hex(f.dc()),
+    )
+}
+
+/// The cache sits in front of whole requests: a cold `synthesize` does one
+/// lookup and stores only its own result, however many portfolio candidates
+/// the recursion scores, and a `no_cache` request touches the cache in no
+/// way.
+#[test]
+fn synthesis_touches_the_cache_once_per_request() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(addr);
+
+    let f = Isf::from_cover_str(4, &["1-10", "1-01", "-111", "-100"], &[]).unwrap();
+    let local = RecursiveSynthesizer::default().synthesize(&f).unwrap();
+    assert!(local.flat_form.num_pseudoproducts() >= 2, "the portfolio must run on f");
+    let (hits, misses, insertions) = cache_counts(&mut client);
+    let cold = client.roundtrip(&synthesize_line(&f, false));
+    assert!(bool_field(&cold, "ok"), "error: {cold}");
+    assert_eq!(str_field(&cold, "cache"), "miss");
+    assert_eq!(u64_field(&cold, "gates"), local.gate_count() as u64);
+    assert_eq!(cache_counts(&mut client), (hits, misses + 1, insertions + 1));
+
+    let fresh = Isf::new(
+        TruthTable::from_fn(5, |m| (m * 0x9E37) % 7 < 3),
+        TruthTable::from_fn(5, |m| (m * 0x9E37) % 7 == 3),
+    )
+    .unwrap();
+    let before = cache_counts(&mut client);
+    let bypass = client.roundtrip(&synthesize_line(&fresh, true));
+    assert!(bool_field(&bypass, "ok"), "error: {bypass}");
+    assert_eq!(str_field(&bypass, "cache"), "bypass");
+    assert!(bool_field(&bypass, "verified"));
+    assert_eq!(cache_counts(&mut client), before);
+
+    client.roundtrip(r#"{"verb":"shutdown"}"#);
+    drop(client);
     handle.join().expect("server thread");
 }
 
