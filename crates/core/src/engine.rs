@@ -158,15 +158,20 @@ impl Default for EngineConfig {
     }
 }
 
+/// The workspace's one rule for a thread-count knob: `requested`, or the
+/// machine's available parallelism when `requested` is 0.
+pub fn threads_or_available(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
 impl EngineConfig {
-    /// The worker-pool size actually used: `threads`, or the machine's
-    /// available parallelism when `threads` is 0.
+    /// The worker-pool size actually used (see [`threads_or_available`]).
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        threads_or_available(self.threads)
     }
 
     /// The divisor seed of job `(instance_index, output_index, op_index)`.
@@ -399,10 +404,7 @@ struct WorkerScratch {
 }
 
 /// Plain-field per-worker metrics, merged into the [`obs::Registry`] exactly
-/// once — from [`Drop`], which the pool reaches both when a worker finishes
-/// its jobs and when a panic rebuilds the worker state (partial counts from
-/// before the panicked job are still merged; the panicked job itself records
-/// nothing).
+/// once — from [`Drop`], when the worker finishes its jobs.
 struct EngineRecorder {
     registry: Arc<obs::Registry>,
     /// Whether the accumulated BDD manager counters are merged (under
@@ -588,35 +590,6 @@ pub fn sweep(suite: &Suite, config: &EngineConfig) -> SweepReport {
     }
 }
 
-/// What a pool job's panic left behind: its slot index and the panic
-/// payload rendered as text (for `panic!("...")` string payloads; anything
-/// else is reported generically).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the spec whose job panicked.
-    pub slot: usize,
-    /// The panic message, best-effort.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.slot, self.message)
-    }
-}
-
-/// Renders a `catch_unwind` payload: `&str` and `String` payloads (what
-/// `panic!` produces) verbatim, anything else generically.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Fans `specs` over a pool of `threads` scoped workers, each with its own
 /// local state from `init`, and scatters the results back into spec order.
 ///
@@ -627,26 +600,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// function of `specs`, independent of thread count and scheduling — the
 /// bit-identical guarantee both sweep kinds advertise.
 ///
-/// A panicking job does **not** poison the pool: the panic is caught at the
-/// job boundary, the claiming worker rebuilds its local state (the panic may
-/// have left it half-updated) and moves on to the next spec, and the
-/// panicked slot comes back as [`Err(JobPanic)`](JobPanic) while every other
-/// slot keeps its result. The infallible wrapper [`run_pool`] re-raises the
-/// first such panic; callers that must survive poisoned work items (the
-/// `bidecomp-service` request server) use this form directly.
+/// Jobs are assumed not to panic: a job panic is a bug in the caller. The
+/// pool still joins every worker before it re-raises the panic, so one bad
+/// job cannot leave scoped threads detached mid-unwind.
 ///
-/// This is the one worker-pool abstraction of the workspace: both sweep
-/// kinds run on it, and the `bidecomp-service` job server drains its request
-/// queue through it. It is generic over the spec, per-worker state and
-/// result types precisely so those callers do not need pools of their own.
-pub fn try_run_pool<S: Sync, L, R: Send>(
+/// # Panics
+///
+/// Re-raises the first worker's job panic, with its original payload.
+pub fn run_pool<S: Sync, L, R: Send>(
     specs: &[S],
     threads: usize,
     init: impl Fn() -> L + Sync,
     job: impl Fn(&mut L, &S) -> R + Sync,
-) -> Vec<Result<R, JobPanic>> {
+) -> Vec<R> {
     let next = AtomicUsize::new(0);
-    let worker_results: Vec<Vec<(usize, Result<R, JobPanic>)>> = std::thread::scope(|scope| {
+    let workers: Vec<std::thread::Result<Vec<(usize, R)>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -655,60 +623,23 @@ pub fn try_run_pool<S: Sync, L, R: Send>(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(spec) = specs.get(i) else { break };
-                        // AssertUnwindSafe: on panic the possibly-inconsistent
-                        // worker state is discarded and rebuilt below, so no
-                        // broken invariant outlives the catch.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            job(&mut state, spec)
-                        }));
-                        match result {
-                            Ok(r) => local.push((i, Ok(r))),
-                            Err(payload) => {
-                                local.push((
-                                    i,
-                                    Err(JobPanic { slot: i, message: panic_message(&*payload) }),
-                                ));
-                                state = init();
-                            }
-                        }
+                        local.push((i, job(&mut state, spec)));
                     }
                     local
                 })
             })
             .collect();
-        // Join cannot fail on a job panic (caught above); only an unwind
-        // outside the job boundary (e.g. in `init`) still aborts the pool.
-        handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
+        handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut slots: Vec<Option<Result<R, JobPanic>>> = Vec::with_capacity(specs.len());
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(specs.len());
     slots.resize_with(specs.len(), || None);
-    for (i, result) in worker_results.into_iter().flatten() {
-        slots[i] = Some(result);
+    for worker in workers {
+        let local = worker.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        for (i, result) in local {
+            slots[i] = Some(result);
+        }
     }
     slots.into_iter().map(|r| r.expect("every claimed job writes its slot")).collect()
-}
-
-/// The infallible [`try_run_pool`]: both sweep kinds run on it, where a job
-/// panic is a bug in the engine itself — the panic is re-raised (with its
-/// original message and the slot index) after every worker has finished, so
-/// one bad job cannot leave scoped threads detached mid-unwind.
-///
-/// # Panics
-///
-/// Re-raises the first job panic, if any.
-pub fn run_pool<S: Sync, L, R: Send>(
-    specs: &[S],
-    threads: usize,
-    init: impl Fn() -> L + Sync,
-    job: impl Fn(&mut L, &S) -> R + Sync,
-) -> Vec<R> {
-    try_run_pool(specs, threads, init, job)
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(result) => result,
-            Err(panic) => panic!("engine worker panicked: {panic}"),
-        })
-        .collect()
 }
 
 fn run_job(
@@ -934,14 +865,9 @@ impl Default for SynthesisConfig {
 }
 
 impl SynthesisConfig {
-    /// The worker-pool size actually used (see
-    /// [`EngineConfig::effective_threads`]).
+    /// The worker-pool size actually used (see [`threads_or_available`]).
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        threads_or_available(self.threads)
     }
 
     /// The seed of job `(instance_index, output_index)` — a pure function of
@@ -1198,39 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_isolates_a_panicking_job_without_losing_other_slots() {
-        let specs: Vec<u32> = (0..64).collect();
-        let results = with_quiet_panics(|| {
-            try_run_pool(
-                &specs,
-                4,
-                || 0u32,
-                |state, spec| {
-                    *state += 1;
-                    if *spec % 17 == 3 {
-                        panic!("poisoned spec {spec}");
-                    }
-                    spec * 2
-                },
-            )
-        });
-        assert_eq!(results.len(), specs.len());
-        for (spec, result) in specs.iter().zip(&results) {
-            if spec % 17 == 3 {
-                let panic = result.as_ref().expect_err("a panicking spec must surface its panic");
-                assert_eq!(panic.slot, *spec as usize);
-                assert_eq!(panic.message, format!("poisoned spec {spec}"));
-            } else {
-                assert_eq!(
-                    result.as_ref(),
-                    Ok(&(spec * 2)),
-                    "slot {spec} lost its result to an unrelated panic"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn infallible_pool_reraises_the_job_panic() {
         let outcome = with_quiet_panics(|| {
             std::panic::catch_unwind(|| {
@@ -1247,10 +1140,8 @@ mod tests {
                 )
             })
         });
-        let payload = outcome.expect_err("the wrapper must re-raise");
-        let message = payload.downcast_ref::<String>().expect("string payload");
-        assert!(message.contains("job two exploded"), "got: {message}");
-        assert!(message.contains("job 1"), "slot index named: {message}");
+        let payload = outcome.expect_err("the pool must re-raise");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job two exploded"));
     }
 
     #[test]

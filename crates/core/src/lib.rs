@@ -88,9 +88,8 @@ pub use decompose::{
     derive_strategy_divisor, ApproxStrategy, BiDecomposition, DecompositionPlan, Quotient,
 };
 pub use engine::{
-    run_pool, seeded_divisor, seeded_divisor_bdd, sweep, sweep_synthesis, try_run_pool, Backend,
-    EngineConfig, JobPanic, JobResult, OperatorStats, SweepReport, SynthesisConfig,
-    SynthesisJobResult, SynthesisReport,
+    run_pool, seeded_divisor, seeded_divisor_bdd, sweep, sweep_synthesis, Backend, EngineConfig,
+    JobResult, OperatorStats, SweepReport, SynthesisConfig, SynthesisJobResult, SynthesisReport,
 };
 pub use error::BidecompError;
 pub use flexibility::FlexibilityReport;

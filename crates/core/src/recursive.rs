@@ -58,9 +58,11 @@ pub struct RecursiveConfig {
     /// Minimum mapped-area improvement (in library area units) a candidate
     /// `g op h` must have over the flat 2-SPP realization to be recursed on.
     pub min_gain: f64,
-    /// Opt-in self-audit: replay every winning `(g, h, op)` candidate of the
-    /// recursion through the SAT [`crate::oracle::Oracle`] (side condition,
-    /// Lemmas 1–5, Corollaries 1–4). A rejection panics — the dense
+    /// Opt-in self-audit: replay every `(g, h, op)` candidate whose full
+    /// quotient the recursion computed through the SAT
+    /// [`crate::oracle::Oracle`] (side condition, Lemmas 1–5,
+    /// Corollaries 1–4), before the candidate's gain is checked, so losing
+    /// candidates are audited too. A rejection panics — the dense
     /// verifiers accepted the same quotient, so a disagreement is a
     /// cross-backend bug, not a recoverable outcome.
     pub oracle_audit: bool,

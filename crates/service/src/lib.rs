@@ -24,9 +24,9 @@
 //!   hit in 600 lookups on 200 never-repeated 9–12-input functions), so the
 //!   recursion recomputes them;
 //! * [`server`] — a persistent localhost TCP service speaking line-delimited
-//!   JSON ([`json`]), fronting a request queue drained in batches through
-//!   `bidecomp::engine::run_pool`, with `decompose` / `synthesize` /
-//!   `stats` / `shutdown` verbs;
+//!   JSON ([`json`]), fronting a request queue drained by the server's own
+//!   worker threads, with `decompose` / `synthesize` / `stats` / `metrics` /
+//!   `shutdown` verbs;
 //! * [`json`] — the dependency-free JSON module (moved here from
 //!   `bidecomp-bench`, which re-exports it) framing both the wire protocol
 //!   and the bench artifacts.

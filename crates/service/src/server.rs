@@ -1,5 +1,5 @@
 //! The persistent decomposition server: localhost TCP, line-delimited JSON,
-//! a request queue drained in batches through `bidecomp::engine::run_pool`.
+//! a request queue drained by the server's own worker threads.
 //!
 //! ## Protocol
 //!
@@ -77,28 +77,29 @@
 //!
 //! Each connection gets a reader thread (parses lines into the shared
 //! queue) and a writer thread (drains an unbounded reply channel, so a slow
-//! client never stalls the service). The queue itself is drained by
-//! [`bidecomp::engine::try_run_pool`] — the same worker abstraction the
-//! sweep engines fan over — invoked once with one everlasting spec per
-//! worker: each "job" is the claim loop, popping requests one at a time
-//! until shutdown, so a cheap cache hit is answered the microsecond a
-//! worker is free instead of waiting out a slow miss behind a batch
-//! barrier. Workers send replies in completion order and the writer
-//! reorders by per-connection sequence number, so the wire still answers
-//! strictly in request order. The NPN cache ([`crate::NpnCache`]) is shared
-//! by every worker and sits in front of whole requests only: a cached
-//! request canonicalizes its function once, then does exactly one lookup
-//! and, on a miss, one store, while a `no_cache` request touches the cache
-//! in no way. Each worker keeps one recursive synthesizer, which recomputes
-//! the quotient subproblems of a synthesis rather than looking them up: a
-//! Table II quotient takes under a microsecond at 9–12 inputs, an NPN
-//! canonicalization 0.5–3.5 ms, and on never-repeated 9–12-input functions
-//! almost no quotient lookup hits.
+//! client never stalls the service). [`Server::run`] spawns
+//! [`ServiceConfig::workers`] compute threads that drain the queue: each
+//! runs one claim loop, popping requests one at a time until shutdown, so
+//! a cheap cache hit is answered the microsecond a worker is free instead
+//! of waiting out a slow miss behind a batch barrier. A `shutdown` wakes
+//! every parked worker at once. Workers send replies in completion order
+//! and the writer reorders by per-connection sequence number, so the wire
+//! still answers strictly in request order. The NPN cache
+//! ([`crate::NpnCache`]) is shared by every worker and sits in front of
+//! whole requests only: a cached request canonicalizes its function once,
+//! then does exactly one lookup and, on a miss, one store, while a
+//! `no_cache` request touches the cache in no way. Each worker keeps one
+//! recursive synthesizer, which recomputes the quotient subproblems of a
+//! synthesis rather than looking them up: a Table II quotient takes under
+//! a microsecond at 9–12 inputs, an NPN canonicalization 0.5–3.5 ms, and
+//! on never-repeated 9–12-input functions almost no quotient lookup hits.
 //!
 //! Per-request compute runs under `catch_unwind`; a panicking request is
-//! answered `"internal"` and its worker's scratch state is rebuilt. For
-//! chaos testing, a seeded [`FaultPlan`] injects worker panics, compute
-//! delays and mid-reply connection drops behind [`ServiceConfig::faults`].
+//! answered `"internal"` and its worker's scratch state is rebuilt. A
+//! worker thread that dies outside that guard is counted in `panics` when
+//! `run` joins it. For chaos testing, a seeded [`FaultPlan`] injects worker
+//! panics, compute delays and mid-reply connection drops behind
+//! [`ServiceConfig::faults`].
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -106,11 +107,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bidecomp::approximation::is_valid_divisor;
-use bidecomp::engine::{seeded_divisor, try_run_pool};
+use bidecomp::engine::{seeded_divisor, threads_or_available};
 use bidecomp::{
     full_quotient, verify_decomposition, verify_maximal_flexibility, verify_network, BinaryOp,
     RecursiveConfig, RecursiveSynthesizer,
@@ -139,13 +141,15 @@ pub const INJECTED_PANIC_MESSAGE: &str = "injected worker fault";
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads per batch; `0` uses the machine's available
-    /// parallelism.
+    /// Compute threads [`Server::run`] spawns to drain the request queue;
+    /// `0` uses the machine's available parallelism.
     pub workers: usize,
     /// Total capacity of the NPN result cache in entries; `0` disables
     /// caching entirely (every request reports `cache: bypass`).
     pub cache_capacity: usize,
-    /// Lock stripes of the cache (rounded up to a power of two).
+    /// Lock stripes of the cache (rounded up to a power of two). With the
+    /// cache on, [`Server::bind`] refuses more stripes than
+    /// `cache_capacity`.
     pub cache_shards: usize,
     /// Largest request arity accepted (bounds both the wire payload and the
     /// exhaustive verification work per request). [`Server::bind`] refuses
@@ -200,11 +204,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        threads_or_available(self.workers)
     }
 
     /// The queue depth at which `synthesize` requests start shedding (half
@@ -465,9 +465,9 @@ struct ServiceState {
     config_fp: u64,
     queue: Mutex<VecDeque<QueueItem>>,
     available: Condvar,
-    shutdown: AtomicBool,
-    /// When `shutdown` was flagged — the drain deadline counts from here.
-    shutdown_at: Mutex<Option<Instant>>,
+    /// When shutdown began (unset while serving) — the drain deadline
+    /// counts from here.
+    shutdown_at: OnceLock<Instant>,
     started: Instant,
     counters: Counters,
     /// Live connection count (for `max_connections`).
@@ -479,23 +479,23 @@ struct ServiceState {
 }
 
 impl ServiceState {
+    /// Stamps the start of shutdown (the first call wins) and wakes every
+    /// parked worker.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut at = self.shutdown_at.lock().expect("shutdown stamp poisoned");
-        if at.is_none() {
-            *at = Some(Instant::now());
-        }
+        let _ = self.shutdown_at.set(Instant::now());
+        // A worker checks the stamp and parks under the queue lock; taking
+        // the lock here keeps the wakeup from landing between the two.
+        drop(self.queue.lock().expect("request queue poisoned"));
+        self.available.notify_all();
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown_at.get().is_some()
     }
 
     fn drain_deadline_expired(&self) -> bool {
         let ms = self.config.drain_deadline_ms;
-        if ms == 0 {
-            return false;
-        }
-        self.shutdown_at
-            .lock()
-            .expect("shutdown stamp poisoned")
-            .is_some_and(|at| at.elapsed() >= Duration::from_millis(ms))
+        ms > 0 && self.shutdown_at.get().is_some_and(|at| at.elapsed() >= Duration::from_millis(ms))
     }
 
     /// The shed reply's backoff hint: grows with queue depth, jittered so a
@@ -554,8 +554,10 @@ impl Server {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] unless `1 ≤ config.max_vars ≤`
-    /// [`TruthTable::MAX_VARS`] (no larger request fits a truth table), then
-    /// any [`TcpListener::bind`] error.
+    /// [`TruthTable::MAX_VARS`] (no larger request fits a truth table), or
+    /// if the cache is on with `config.cache_shards > config.cache_capacity`
+    /// (a stripe that can never hold an entry only costs memory); then any
+    /// [`TcpListener::bind`] error.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServiceConfig) -> io::Result<Server> {
         if !(1..=TruthTable::MAX_VARS).contains(&config.max_vars) {
             return Err(io::Error::new(
@@ -564,6 +566,15 @@ impl Server {
                     "max_vars must be between 1 and {}, got {}",
                     TruthTable::MAX_VARS,
                     config.max_vars
+                ),
+            ));
+        }
+        if config.cache_capacity > 0 && config.cache_shards > config.cache_capacity {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cache_shards must not exceed cache_capacity {}, got {}",
+                    config.cache_capacity, config.cache_shards
                 ),
             ));
         }
@@ -586,8 +597,7 @@ impl Server {
             config_fp,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            shutdown_at: Mutex::new(None),
+            shutdown_at: OnceLock::new(),
             started: Instant::now(),
             counters,
             connections: AtomicUsize::new(0),
@@ -613,23 +623,23 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves until a `shutdown` request arrives, then drains the queue
-    /// (bounded by [`ServiceConfig::drain_deadline_ms`]) and returns.
-    /// Connection reader/writer threads are detached: a client that keeps
-    /// its connection open past shutdown gets an error line per further
-    /// request and ends its threads by closing the connection.
+    /// Spawns the compute threads, serves until a `shutdown` request
+    /// arrives, then drains the queue (bounded by
+    /// [`ServiceConfig::drain_deadline_ms`]), joins the compute threads and
+    /// returns. Connection reader/writer threads are detached: a client
+    /// that keeps its connection open past shutdown gets an error line per
+    /// further request and ends its threads by closing the connection.
     ///
     /// # Errors
     ///
-    /// Fatal listener errors, or a dispatcher panic (the queue is still
-    /// flushed with [`ERR_SHUTDOWN`] replies before returning). Per-request
-    /// problems are protocol-level error replies.
+    /// A compute thread that fails to spawn (the threads already started
+    /// are shut down first), or a fatal listener error (the queue is still
+    /// drained before returning). Per-request problems are protocol-level
+    /// error replies.
     pub fn run(self) -> io::Result<()> {
-        let dispatcher_state = Arc::clone(&self.state);
-        let dispatcher = std::thread::spawn(move || dispatch_loop(&dispatcher_state));
-        self.listener.set_nonblocking(true)?;
-        let mut fatal = None;
-        while !self.state.shutdown.load(Ordering::SeqCst) {
+        let workers = spawn_workers(&self.state)?;
+        let mut fatal = self.listener.set_nonblocking(true).err();
+        while fatal.is_none() && !self.state.shutting_down() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let max = self.state.config.max_connections;
@@ -662,18 +672,47 @@ impl Server {
             }
         }
         self.state.begin_shutdown();
-        let joined = dispatcher.join();
-        // Whatever is still queued after the dispatcher exited (drain
-        // deadline, or a dispatcher panic) gets an orderly error reply
-        // instead of a silently dropped channel.
+        join_workers(&self.state, workers);
+        // Whatever is still queued once the workers exited (drain deadline,
+        // or every worker died) gets an orderly error reply instead of a
+        // silently dropped channel.
         flush_queue(&self.state, ERR_SHUTDOWN);
-        if joined.is_err() {
-            self.state.counters.panics.inc();
-            return Err(io::Error::other("dispatcher panicked; queue flushed and shut down"));
-        }
         match fatal {
             Some(e) => Err(e),
             None => Ok(()),
+        }
+    }
+}
+
+/// Starts the [`ServiceConfig::workers`] compute threads. If one fails to
+/// spawn, the threads already started are shut down and joined before the
+/// error is returned.
+fn spawn_workers(state: &Arc<ServiceState>) -> io::Result<Vec<JoinHandle<()>>> {
+    let mut workers = Vec::new();
+    for _ in 0..state.config.effective_workers() {
+        let worker_state = Arc::clone(state);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let mut worker = make_worker(&worker_state);
+            drain_queue(&worker_state, &mut worker);
+        });
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(e) => {
+                state.begin_shutdown();
+                join_workers(state, workers);
+                return Err(e);
+            }
+        }
+    }
+    Ok(workers)
+}
+
+/// Joins the compute threads, counting each one that died outside the
+/// per-request panic guard in `panics`.
+fn join_workers(state: &ServiceState, workers: Vec<JoinHandle<()>>) {
+    for worker in workers {
+        if worker.join().is_err() {
+            state.counters.panics.inc();
         }
     }
 }
@@ -847,7 +886,7 @@ fn admit(
     let received = Instant::now();
     let deadline = request.deadline_ms.map(|ms| received + Duration::from_millis(ms));
     let queue = state.queue.lock().expect("request queue poisoned");
-    if state.shutdown.load(Ordering::SeqCst) {
+    if state.shutting_down() {
         drop(queue);
         return Some(attach_id(error_value(ERR_SHUTDOWN), &request.id).to_string());
     }
@@ -951,25 +990,6 @@ fn writer_loop(mut out: TcpStream, rx: &Receiver<(u64, Reply)>) {
     }
 }
 
-/// The queue drain: one `try_run_pool` invocation whose specs are one
-/// everlasting unit of work per worker — each job claims requests one at a
-/// time until shutdown, giving item-granular scheduling (a hit never waits
-/// behind a miss) while reusing the engine's worker abstraction, per-worker
-/// state and all. A worker whose claim loop itself panics (outside the
-/// per-request `catch_unwind`) is counted, not fatal.
-fn dispatch_loop(state: &Arc<ServiceState>) {
-    let workers = state.config.effective_workers();
-    let specs = vec![(); workers];
-    let slots = try_run_pool(
-        &specs,
-        workers,
-        || make_worker(state),
-        |worker, ()| drain_queue(state, worker),
-    );
-    let died = slots.iter().filter(|slot| slot.is_err()).count();
-    state.counters.panics.add(died as u64);
-}
-
 /// Per-worker scratch: the recursive synthesizer and the area model.
 struct Worker {
     synthesizer: RecursiveSynthesizer,
@@ -983,28 +1003,25 @@ fn make_worker(state: &ServiceState) -> Worker {
     }
 }
 
-/// One worker's life: pop a request, handle it (under `catch_unwind`),
-/// reply immediately; park on the condvar when idle; exit once shutdown is
-/// flagged and the queue is empty — or flush the queue with shutdown
-/// errors once the drain deadline expires.
-fn drain_queue(state: &Arc<ServiceState>, worker: &mut Worker) {
+/// One worker thread's life: pop a request, handle it (under
+/// `catch_unwind`), reply immediately; park on the condvar when idle; exit
+/// once shutdown began and the queue is empty — or flush the queue with
+/// shutdown errors once the drain deadline expires.
+fn drain_queue(state: &ServiceState, worker: &mut Worker) {
     loop {
         let item = {
             let mut queue = state.queue.lock().expect("request queue poisoned");
             loop {
-                if state.shutdown.load(Ordering::SeqCst) && state.drain_deadline_expired() {
-                    while let Some(item) = queue.pop_front() {
-                        let line = attach_id(error_value(ERR_SHUTDOWN), &item.request.id);
-                        let _ = item.reply.send((item.seq, Reply::Line(line.to_string())));
-                    }
-                    state.counters.queue_depth.set(0);
+                if state.drain_deadline_expired() {
+                    drop(queue);
+                    flush_queue(state, ERR_SHUTDOWN);
                     return;
                 }
                 if let Some(item) = queue.pop_front() {
                     state.counters.queue_depth.set(queue.len() as u64);
                     break item;
                 }
-                if state.shutdown.load(Ordering::SeqCst) {
+                if state.shutting_down() {
                     return; // drained and shutting down
                 }
                 let (q, _) = state

@@ -375,3 +375,24 @@ fn out_of_range_max_vars_is_refused_at_bind() {
         assert!(bind(max_vars).is_ok(), "max_vars {max_vars} must be accepted");
     }
 }
+
+/// More cache stripes than cache entries are refused at bind: a huge
+/// stripe count used to abort on allocation, and `usize::MAX` overflowed the
+/// power-of-two rounding. A stripe count equal to the capacity is accepted,
+/// and so is any stripe count while the cache is off.
+#[test]
+fn cache_shards_beyond_the_capacity_are_refused_at_bind() {
+    let bind = |cache_capacity, cache_shards| {
+        let config = ServiceConfig { cache_capacity, cache_shards, ..ServiceConfig::default() };
+        Server::bind("127.0.0.1:0", config)
+    };
+    for cache_shards in [65, 1 << 40, usize::MAX] {
+        let err = bind(64, cache_shards)
+            .err()
+            .unwrap_or_else(|| panic!("cache_shards {cache_shards} accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "shards {cache_shards}: {err}");
+        assert!(err.to_string().contains("cache_shards"), "unhelpful error: {err}");
+    }
+    assert!(bind(64, 64).is_ok(), "cache_shards equal to the capacity must be accepted");
+    assert!(bind(0, usize::MAX).is_ok(), "a disabled cache has no stripes to refuse");
+}

@@ -246,8 +246,8 @@ fn pipelined_requests_come_back_in_order() {
     let mut reader = BufReader::new(stream);
 
     // Write a burst of decompose requests before reading anything — the
-    // dispatcher batches them through run_pool, and replies must come back
-    // in request order.
+    // worker threads answer them in completion order, and replies must come
+    // back in request order.
     let mut expected = Vec::new();
     let mut batch = String::new();
     for seed in 0..24u64 {
