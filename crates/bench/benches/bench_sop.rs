@@ -1,21 +1,39 @@
 //! Criterion bench: the espresso-style two-level minimizer.
+//!
+//! `espresso_dense` is the production path (`espresso_isf`, minimizing on
+//! the function's truth tables); `espresso_cube_list` is its cube-list
+//! oracle (`espresso_cover` on the minterm covers). Both return the same
+//! cover.
 
 use bidecomp_bench::{criterion_group, criterion_main, Criterion};
 
 use boolfunc::{Isf, TruthTable};
-use sop::{complement, espresso, is_tautology};
+use sop::{complement, espresso_cover, espresso_isf, is_tautology, EspressoOptions};
 
 fn bench_sop(c: &mut Criterion) {
     let mut group = c.benchmark_group("sop");
     group.sample_size(10);
 
+    for &num_vars in &[8usize, 10, 12] {
+        let hash = |m: u64| m.wrapping_mul(2654435761) >> 7;
+        let on = TruthTable::from_fn(num_vars, |m| hash(m) % 3 == 0);
+        let dc = TruthTable::from_fn(num_vars, |m| hash(m) % 7 == 1).difference(&on);
+        let f = Isf::new(on, dc).expect("dc is disjoint from on by construction");
+        let options = EspressoOptions::default();
+        group.bench_function(format!("espresso_dense/{num_vars}vars"), |b| {
+            b.iter(|| std::hint::black_box(espresso_isf(&f, options)).literal_count());
+        });
+        group.bench_function(format!("espresso_cube_list/{num_vars}vars"), |b| {
+            b.iter(|| {
+                let cover = espresso_cover(&f.on_cover(), &f.dc_cover(), options);
+                std::hint::black_box(cover).literal_count()
+            });
+        });
+    }
+
     for &num_vars in &[6usize, 8] {
         let on = TruthTable::from_fn(num_vars, |m| m.wrapping_mul(2654435761) % 3 == 0);
-        let f = Isf::completely_specified(on);
-        group.bench_function(format!("espresso/{num_vars}vars"), |b| {
-            b.iter(|| std::hint::black_box(espresso(&f)).literal_count());
-        });
-        let cover = f.on().to_minterm_cover();
+        let cover = on.to_minterm_cover();
         group.bench_function(format!("complement/{num_vars}vars"), |b| {
             b.iter(|| std::hint::black_box(complement(&cover)).num_cubes());
         });

@@ -15,11 +15,12 @@
 //!   exact semantic comparison plus the tolerance-banded `speedup` ratio
 //!   described below;
 //! * `bidecomp-synth-v1` — the recursive-synthesis sweep (`synth_sweep`):
-//!   the whole document is deterministic (no reference arm, no ratio), so
 //!   the aggregate counters and every per-`(instance, output)` row — gate
-//!   count, depth, branch count, rounded areas and gain — are compared
-//!   exactly (areas within 1e-6 to absorb decimal-text round-tripping);
-//!   `--tolerance` is ignored.
+//!   count, depth, branch count, rounded areas and gain — are deterministic
+//!   and compared exactly (areas within 1e-6 to absorb decimal-text
+//!   round-tripping). The `espresso` block's function count is exact, and
+//!   its `speedup` (cube-list espresso wall over dense espresso wall, same
+//!   process, one thread) uses the same tolerance band as the sweep schema.
 //! * `bidecomp-service-v1` — the service load generator
 //!   (`service_loadgen`): the workload shape (request counts, arity, base
 //!   pool, connection count) and the zero-error requirement are exact; the
@@ -318,9 +319,11 @@ fn run_sweep(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
 }
 
 /// The synth-schema gate: everything in a `bidecomp-synth-v1` document
-/// except the wall time is deterministic, so the comparison is exact —
-/// aggregate counters bit for bit, areas within 1e-6 (decimal-text
-/// round-tripping only), one row per `(instance, output)`.
+/// except the wall times and the espresso speedup is deterministic, so the
+/// comparison is exact — aggregate counters bit for bit, areas within 1e-6
+/// (decimal-text round-tripping only), one row per `(instance, output)`.
+/// The espresso speedup is gated like the sweep's: it may not fall below
+/// `max(1.0, baseline × (1 − tolerance))`.
 fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
 
@@ -391,6 +394,32 @@ fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
             "instance-row count differs: baseline {} vs current {}",
             base_rows.len(),
             cur_rows.len()
+        ));
+    }
+
+    // --- Espresso reference arm (tolerance band) ---
+    let arm = |doc: &Value, path: &str| {
+        doc.get("espresso").cloned().ok_or_else(|| format!("{path}: missing espresso block"))
+    };
+    let (base_arm, cur_arm) = (arm(baseline, &args.baseline)?, arm(current, &args.current)?);
+    let b = u64_field(&base_arm, "functions", &args.baseline)?;
+    let c = u64_field(&cur_arm, "functions", &args.current)?;
+    if b != c {
+        failures.push(format!("espresso.functions differs: baseline {b} vs current {c}"));
+    }
+    let base_speedup = f64_field(&base_arm, "speedup", &args.baseline)?;
+    let cur_speedup = f64_field(&cur_arm, "speedup", &args.current)?;
+    let floor = (base_speedup * (1.0 - args.tolerance)).max(1.0);
+    println!(
+        "dense espresso over the cube-list path: baseline {base_speedup:.2}x, \
+         current {cur_speedup:.2}x (floor {floor:.2}x, tolerance {})",
+        args.tolerance
+    );
+    if cur_speedup < floor {
+        failures.push(format!(
+            "espresso speedup regression: {cur_speedup:.2}x fell below the floor {floor:.2}x \
+             (baseline {base_speedup:.2}x, tolerance {})",
+            args.tolerance
         ));
     }
 

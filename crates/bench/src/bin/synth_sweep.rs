@@ -17,20 +17,30 @@
 //! the CI gate compares bit for bit (`jobs`, `verified`, `total_gates`,
 //! `total_branches`), rounded deterministic areas, and one row per
 //! `(instance, output)` with gate count, depth, mapped area and the gain
-//! over the flat 2-SPP realization. Everything except the wall times is a
-//! pure function of `(suite, config)` — the `regress` binary checks it
-//! against the committed `BENCH_synth_baseline.json` exactly, no tolerance
-//! band needed.
+//! over the flat 2-SPP realization. Everything except the wall times and
+//! the espresso speedup is a pure function of `(suite, config)` — the
+//! `regress` binary checks it against the committed
+//! `BENCH_synth_baseline.json` exactly.
+//!
+//! The `espresso` block is an in-process reference arm: the dense
+//! minimizer synthesis runs on (`sop::espresso_isf`) and the cube-list
+//! `sop::espresso_cover` on minterm covers, both over the suite's output
+//! functions at one thread, fastest of three runs each. The run fails
+//! unless both return the same cube list for every function; `regress`
+//! holds their wall ratio (`speedup`) inside a tolerance band.
 //!
 //! `--write-baseline` additionally rewrites `BENCH_synth_baseline.json`.
 //! Output lands in `BENCH_OUT_DIR` (default: working directory).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use benchmarks::Suite;
 use bidecomp::engine::{sweep_synthesis, SynthesisConfig, SynthesisReport};
 use bidecomp_bench::cli::{bench_out_path, ArgCursor};
 use bidecomp_bench::json::{self, Value};
+use boolfunc::{Cover, Isf};
+use sop::{espresso_cover, espresso_isf, EspressoOptions};
 
 struct Args {
     suite: String,
@@ -84,7 +94,60 @@ fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-fn report_to_json(report: &SynthesisReport) -> Value {
+/// The espresso reference arm: both minimizers over the suite's output
+/// functions, one thread, fastest of [`ESPRESSO_REPEATS`] runs per arm.
+struct EspressoArm {
+    functions: usize,
+    dense_micros: u64,
+    cube_list_micros: u64,
+}
+
+impl EspressoArm {
+    /// Cube-list wall over dense wall: a same-process ratio, comparable
+    /// across hosts.
+    fn speedup(&self) -> f64 {
+        self.cube_list_micros as f64 / self.dense_micros.max(1) as f64
+    }
+}
+
+const ESPRESSO_REPEATS: usize = 3;
+
+/// Times the dense minimizer (`espresso_isf`, the production path) against
+/// its cube-list oracle (`espresso_cover` on minterm covers) on every output
+/// function the sweep synthesizes, and checks that both return the same
+/// cube list for each.
+fn espresso_arm(suite: &Suite, config: &SynthesisConfig) -> Result<EspressoArm, String> {
+    let functions: Vec<&Isf> = suite
+        .instances()
+        .iter()
+        .filter(|inst| inst.num_inputs() <= config.max_inputs)
+        .flat_map(|inst| inst.outputs().iter().take(config.max_outputs))
+        .collect();
+    let options = EspressoOptions::default();
+    let time = |minimize: &dyn Fn(&Isf) -> Cover| {
+        let mut best = u64::MAX;
+        let mut covers = Vec::new();
+        for _ in 0..ESPRESSO_REPEATS {
+            let start = Instant::now();
+            covers = functions.iter().map(|f| minimize(f)).collect();
+            best = best.min(start.elapsed().as_micros() as u64);
+        }
+        (best, covers)
+    };
+    let (dense_micros, dense) = time(&|f| espresso_isf(f, options));
+    let (cube_list_micros, cube_list) =
+        time(&|f| espresso_cover(&f.on_cover(), &f.dc_cover(), options));
+    if let Some(i) = (0..functions.len()).find(|&i| dense[i] != cube_list[i]) {
+        return Err(format!(
+            "function #{i}: the dense espresso cover differs from the cube-list one\n  \
+             dense:     {}\n  cube-list: {}",
+            dense[i], cube_list[i]
+        ));
+    }
+    Ok(EspressoArm { functions: functions.len(), dense_micros, cube_list_micros })
+}
+
+fn report_to_json(report: &SynthesisReport, espresso: &EspressoArm) -> Value {
     let instances = report
         .jobs
         .iter()
@@ -114,6 +177,15 @@ fn report_to_json(report: &SynthesisReport) -> Value {
         ("total_branches".into(), json::num(total_branches)),
         ("average_gain_percent".into(), Value::Num(round3(report.average_gain_percent()))),
         ("wall_ms".into(), Value::Num(report.wall_micros as f64 / 1000.0)),
+        (
+            "espresso".into(),
+            Value::Object(vec![
+                ("functions".into(), json::num(espresso.functions as u64)),
+                ("dense_ms".into(), Value::Num(espresso.dense_micros as f64 / 1000.0)),
+                ("cube_list_ms".into(), Value::Num(espresso.cube_list_micros as f64 / 1000.0)),
+                ("speedup".into(), Value::Num(round3(espresso.speedup()))),
+            ]),
+        ),
         ("instances".into(), Value::Array(instances)),
     ])
 }
@@ -168,7 +240,23 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let doc = report_to_json(&report);
+    let espresso = match espresso_arm(&suite, &args.config) {
+        Ok(arm) => arm,
+        Err(message) => {
+            eprintln!("FAIL: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "espresso on {} output functions, identical covers: dense {:.1} ms, \
+         cube-list {:.1} ms (speedup {:.2}x)",
+        espresso.functions,
+        espresso.dense_micros as f64 / 1000.0,
+        espresso.cube_list_micros as f64 / 1000.0,
+        espresso.speedup(),
+    );
+
+    let doc = report_to_json(&report, &espresso);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

@@ -57,7 +57,7 @@ pub use npn::{canonicalize, Canonical, CanonicalKey, NpnTransform};
 pub use server::{
     registry_snapshot_value, silence_injected_panics, FaultPlan, Server, ServiceConfig,
     ERR_DEADLINE, ERR_INTERNAL, ERR_LINE_TOO_LONG, ERR_OVERLOADED, ERR_SHUTDOWN,
-    INJECTED_PANIC_MESSAGE,
+    INJECTED_PANIC_MESSAGE, MAX_CACHE_SHARDS,
 };
 
 /// A cache key: the NPN-canonical dividend plus what distinguishes the

@@ -138,6 +138,14 @@ pub const ERR_LINE_TOO_LONG: &str = "request line too long";
 /// chaos harness can tell injected faults from genuine bugs).
 pub const INJECTED_PANIC_MESSAGE: &str = "injected worker fault";
 
+/// The most cache stripes [`Server::bind`] accepts. The cache allocates
+/// every stripe up front, so a stripe count is a memory request: without a
+/// cap, a capacity as huge as the stripe count (say `2^41` of each) passes
+/// the stripes-within-capacity check and then aborts the process on
+/// allocation. `2^16` stripes is far more than a machine has cores to
+/// contend on them.
+pub const MAX_CACHE_SHARDS: usize = 1 << 16;
+
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -149,7 +157,7 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Lock stripes of the cache (rounded up to a power of two). With the
     /// cache on, [`Server::bind`] refuses more stripes than
-    /// `cache_capacity`.
+    /// `cache_capacity` or [`MAX_CACHE_SHARDS`].
     pub cache_shards: usize,
     /// Largest request arity accepted (bounds both the wire payload and the
     /// exhaustive verification work per request). [`Server::bind`] refuses
@@ -556,8 +564,8 @@ impl Server {
     /// [`io::ErrorKind::InvalidInput`] unless `1 ≤ config.max_vars ≤`
     /// [`TruthTable::MAX_VARS`] (no larger request fits a truth table), or
     /// if the cache is on with `config.cache_shards > config.cache_capacity`
-    /// (a stripe that can never hold an entry only costs memory); then any
-    /// [`TcpListener::bind`] error.
+    /// (a stripe that can never hold an entry only costs memory) or above
+    /// [`MAX_CACHE_SHARDS`]; then any [`TcpListener::bind`] error.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServiceConfig) -> io::Result<Server> {
         if !(1..=TruthTable::MAX_VARS).contains(&config.max_vars) {
             return Err(io::Error::new(
@@ -575,6 +583,15 @@ impl Server {
                 format!(
                     "cache_shards must not exceed cache_capacity {}, got {}",
                     config.cache_capacity, config.cache_shards
+                ),
+            ));
+        }
+        if config.cache_capacity > 0 && config.cache_shards > MAX_CACHE_SHARDS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cache_shards must not exceed {MAX_CACHE_SHARDS}, got {}",
+                    config.cache_shards
                 ),
             ));
         }

@@ -14,7 +14,7 @@ use service::json::Value;
 use service::server::table_to_hex;
 use service::{
     FaultPlan, Server, ServiceConfig, ERR_DEADLINE, ERR_INTERNAL, ERR_LINE_TOO_LONG,
-    ERR_OVERLOADED, ERR_SHUTDOWN,
+    ERR_OVERLOADED, ERR_SHUTDOWN, MAX_CACHE_SHARDS,
 };
 
 struct Client {
@@ -376,10 +376,12 @@ fn out_of_range_max_vars_is_refused_at_bind() {
     }
 }
 
-/// More cache stripes than cache entries are refused at bind: a huge
-/// stripe count used to abort on allocation, and `usize::MAX` overflowed the
-/// power-of-two rounding. A stripe count equal to the capacity is accepted,
-/// and so is any stripe count while the cache is off.
+/// More cache stripes than cache entries, or than `MAX_CACHE_SHARDS`, are
+/// refused at bind: a huge stripe count used to abort on allocation (also
+/// with a capacity just as huge, `2^41` of each), and `usize::MAX`
+/// overflowed the power-of-two rounding. A stripe count equal to the
+/// capacity is accepted up to `MAX_CACHE_SHARDS`, and so is any stripe count
+/// while the cache is off.
 #[test]
 fn cache_shards_beyond_the_capacity_are_refused_at_bind() {
     let bind = |cache_capacity, cache_shards| {
@@ -393,6 +395,13 @@ fn cache_shards_beyond_the_capacity_are_refused_at_bind() {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "shards {cache_shards}: {err}");
         assert!(err.to_string().contains("cache_shards"), "unhelpful error: {err}");
     }
+    for shards in [MAX_CACHE_SHARDS + 1, 1 << 41] {
+        let err = bind(shards, shards).err().unwrap_or_else(|| panic!("{shards} stripes accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "shards {shards}: {err}");
+        assert!(err.to_string().contains("cache_shards"), "unhelpful error: {err}");
+    }
     assert!(bind(64, 64).is_ok(), "cache_shards equal to the capacity must be accepted");
+    let ceiling = bind(MAX_CACHE_SHARDS, MAX_CACHE_SHARDS);
+    assert!(ceiling.is_ok(), "MAX_CACHE_SHARDS stripes must be accepted");
     assert!(bind(0, usize::MAX).is_ok(), "a disabled cache has no stripes to refuse");
 }

@@ -1,10 +1,14 @@
 //! The top-level espresso iteration: EXPAND → IRREDUNDANT → REDUCE, repeated
 //! until the cover cost stops improving.
+//!
+//! [`espresso`] runs it on the ISF's truth tables ([`crate::espresso_isf`]);
+//! [`espresso_cover`] runs it on cube lists and is that path's oracle.
 
 use boolfunc::{Cover, Isf};
 
 use crate::complement::off_set;
 use crate::cost::Cost;
+use crate::dense::espresso_isf;
 use crate::expand::expand;
 use crate::irredundant::irredundant;
 use crate::reduce::reduce;
@@ -26,7 +30,8 @@ impl Default for EspressoOptions {
 }
 
 /// Minimizes an incompletely specified function given by dense truth tables,
-/// returning a prime, irredundant cover `F` with `on ⊆ F ⊆ on ∪ dc`.
+/// returning a prime, irredundant cover `F` with `on ⊆ F ⊆ on ∪ dc`: this is
+/// [`crate::espresso_isf`] with the default options.
 ///
 /// ```rust
 /// use boolfunc::Isf;
@@ -41,16 +46,16 @@ impl Default for EspressoOptions {
 /// # }
 /// ```
 pub fn espresso(f: &Isf) -> Cover {
-    let on = f.on().to_minterm_cover();
-    let dc = f.dc().to_minterm_cover();
-    espresso_cover(&on, &dc, EspressoOptions::default())
+    espresso_isf(f, EspressoOptions::default())
 }
 
 /// Minimizes a function given by an on-set cover and a dc-set cover.
 ///
 /// The input covers may be arbitrary (e.g. one cube per minterm, or an
 /// existing SOP to improve); the result covers `on \ dc` and stays inside
-/// `on ∪ dc`.
+/// `on ∪ dc`. Every set question goes through cube-list complementation
+/// and tautology checks; on minterm covers the result equals
+/// [`crate::espresso_isf`]'s, which answers them on truth tables instead.
 pub fn espresso_cover(on: &Cover, dc: &Cover, options: EspressoOptions) -> Cover {
     let n = on.num_vars();
     if on.is_empty() {

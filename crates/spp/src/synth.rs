@@ -10,7 +10,7 @@
 //! change the function), so the result always realizes the input ISF.
 
 use boolfunc::{Cover, Isf};
-use sop::{espresso_cover, EspressoOptions};
+use sop::{espresso_isf, EspressoOptions};
 
 use crate::form::SppForm;
 use crate::pseudoproduct::Pseudoproduct;
@@ -77,18 +77,10 @@ impl SppSynthesizer {
         &self.options
     }
 
-    /// Synthesizes a 2-SPP form realizing the ISF `f`.
+    /// Synthesizes a 2-SPP form realizing the ISF `f`: espresso on its truth
+    /// tables ([`sop::espresso_isf`]), then pseudoproduct merging.
     pub fn synthesize(&self, f: &Isf) -> SppForm {
-        let on = f.on().to_minterm_cover();
-        let dc = f.dc().to_minterm_cover();
-        self.synthesize_from_covers(&on, &dc)
-    }
-
-    /// Synthesizes a 2-SPP form from on-set/dc-set covers (without building
-    /// dense truth tables of the inputs first).
-    pub fn synthesize_from_covers(&self, on: &Cover, dc: &Cover) -> SppForm {
-        let seed = espresso_cover(on, dc, self.options.espresso);
-        self.improve_cover(&seed)
+        self.improve_cover(&espresso_isf(f, self.options.espresso))
     }
 
     /// Runs only the pseudoproduct-merging phase on an existing SOP cover.

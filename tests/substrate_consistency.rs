@@ -91,3 +91,25 @@ fn facade_prelude_exposes_the_whole_flow() {
     let mut mgr = BddManager::new(3);
     let _ = mgr.variable(1);
 }
+
+/// The dense espresso synthesis runs on returns the cube-list oracle's
+/// cover, cube for cube, on every output of the paper's benchmark suite.
+#[test]
+fn dense_espresso_matches_the_cube_list_oracle_on_the_suite() {
+    use sop::espresso::verify_cover;
+    use sop::{espresso_cover, espresso_isf, EspressoOptions};
+
+    let shapes =
+        [EspressoOptions::default(), EspressoOptions { max_iterations: 1, use_reduce: false }];
+    for inst in benchmarks::Suite::all().instances() {
+        for (output, f) in inst.outputs().iter().enumerate() {
+            let (on, dc) = (f.on_cover(), f.dc_cover());
+            for options in shapes {
+                let dense = espresso_isf(f, options);
+                let what = format!("{}[{output}], {options:?}", inst.name());
+                assert_eq!(dense, espresso_cover(&on, &dc, options), "{what}");
+                assert!(verify_cover(f, &dense), "{what}: cover does not realize f");
+            }
+        }
+    }
+}
