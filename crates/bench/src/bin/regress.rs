@@ -20,7 +20,9 @@
 //!   and compared exactly (areas within 1e-6 to absorb decimal-text
 //!   round-tripping). The `espresso` block's function count is exact, and
 //!   its `speedup` (cube-list espresso wall over dense espresso wall, same
-//!   process, one thread) uses the same tolerance band as the sweep schema.
+//!   process, one thread) uses the same tolerance band as the sweep schema;
+//!   so do the `verify` block's network count and `speedup` (per-minterm
+//!   over word-parallel `verify_network`).
 //! * `bidecomp-service-v1` — the service load generator
 //!   (`service_loadgen`): the workload shape (request counts, arity, base
 //!   pool, connection count) and the zero-error requirement are exact; the
@@ -28,7 +30,9 @@
 //!   sweep schema (both arms run in one process against one server, so the
 //!   ratio is machine-comparable), and the cached arm's `hit_rate` may dip
 //!   at most 5 points below the baseline (concurrent first-misses of one
-//!   key can steal a handful of hits). When the baseline carries a
+//!   key can steal a handful of hits). The `npn` block's function count is
+//!   exact and its `speedup` (per-minterm over word-parallel
+//!   canonicalization) uses the same tolerance band. When the baseline carries a
 //!   `robustness` block (the happy-path failure counters), every counter
 //!   is compared exactly — a clean run must stay clean. When it carries a
 //!   `scrape` block (`service_loadgen --scrape`, the server's own
@@ -44,7 +48,9 @@
 //!   server-side p99 sits under a wide
 //!   `baseline × (1 + 4 × tolerance)` ceiling (absolute latencies differ
 //!   across hosts far more than same-process ratios do). Client-side
-//!   latencies are reported, never compared.
+//!   latencies are reported, never compared; so is the queue-free cost
+//!   split (server compute per synthesize hit, per synthesizer run and per
+//!   canonicalization, from the `engine.*_nanos` counters).
 //! * `bidecomp-service-chaos-v1` — the chaos arm (`service_loadgen
 //!   --chaos`): the workload shape and fault rates are exact, and the run
 //!   must report **zero lost**, **zero corrupted**, full completion
@@ -397,30 +403,13 @@ fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
         ));
     }
 
-    // --- Espresso reference arm (tolerance band) ---
-    let arm = |doc: &Value, path: &str| {
-        doc.get("espresso").cloned().ok_or_else(|| format!("{path}: missing espresso block"))
-    };
-    let (base_arm, cur_arm) = (arm(baseline, &args.baseline)?, arm(current, &args.current)?);
-    let b = u64_field(&base_arm, "functions", &args.baseline)?;
-    let c = u64_field(&cur_arm, "functions", &args.current)?;
-    if b != c {
-        failures.push(format!("espresso.functions differs: baseline {b} vs current {c}"));
-    }
-    let base_speedup = f64_field(&base_arm, "speedup", &args.baseline)?;
-    let cur_speedup = f64_field(&cur_arm, "speedup", &args.current)?;
-    let floor = (base_speedup * (1.0 - args.tolerance)).max(1.0);
-    println!(
-        "dense espresso over the cube-list path: baseline {base_speedup:.2}x, \
-         current {cur_speedup:.2}x (floor {floor:.2}x, tolerance {})",
-        args.tolerance
-    );
-    if cur_speedup < floor {
-        failures.push(format!(
-            "espresso speedup regression: {cur_speedup:.2}x fell below the floor {floor:.2}x \
-             (baseline {base_speedup:.2}x, tolerance {})",
-            args.tolerance
-        ));
+    // --- In-process reference arms (tolerance band) ---
+    let arms = [
+        ("espresso", "functions", "dense espresso over the cube-list path"),
+        ("verify", "networks", "word-parallel verify_network over the per-minterm path"),
+    ];
+    for (block, count, label) in arms {
+        gate_reference_arm(args, baseline, current, block, count, label, &mut failures)?;
     }
 
     let base_ms = f64_field(baseline, "wall_ms", &args.baseline)?;
@@ -431,6 +420,46 @@ fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
     );
 
     Ok(failures)
+}
+
+/// Gates one in-process reference-arm block (`espresso`, `verify`, `npn`):
+/// its item count `count` is exact, and its `speedup` (oracle wall over
+/// production wall, same process, one thread) may not fall below
+/// `max(1.0, baseline × (1 − tolerance))`.
+fn gate_reference_arm(
+    args: &Args,
+    baseline: &Value,
+    current: &Value,
+    block: &str,
+    count: &str,
+    label: &str,
+    failures: &mut Vec<String>,
+) -> Result<(), String> {
+    let arm = |doc: &Value, path: &str| {
+        doc.get(block).cloned().ok_or_else(|| format!("{path}: missing {block} block"))
+    };
+    let (base_arm, cur_arm) = (arm(baseline, &args.baseline)?, arm(current, &args.current)?);
+    let b = u64_field(&base_arm, count, &args.baseline)?;
+    let c = u64_field(&cur_arm, count, &args.current)?;
+    if b != c {
+        failures.push(format!("{block}.{count} differs: baseline {b} vs current {c}"));
+    }
+    let base_speedup = f64_field(&base_arm, "speedup", &args.baseline)?;
+    let cur_speedup = f64_field(&cur_arm, "speedup", &args.current)?;
+    let floor = (base_speedup * (1.0 - args.tolerance)).max(1.0);
+    println!(
+        "{label}: baseline {base_speedup:.2}x, current {cur_speedup:.2}x \
+         (floor {floor:.2}x, tolerance {})",
+        args.tolerance
+    );
+    if cur_speedup < floor {
+        failures.push(format!(
+            "{block} speedup regression: {cur_speedup:.2}x fell below the floor {floor:.2}x \
+             (baseline {base_speedup:.2}x, tolerance {})",
+            args.tolerance
+        ));
+    }
+    Ok(())
 }
 
 /// The service-schema gate: exact on the seeded workload shape and the
@@ -465,6 +494,16 @@ fn run_service(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Str
             args.tolerance
         ));
     }
+
+    gate_reference_arm(
+        args,
+        baseline,
+        current,
+        "npn",
+        "functions",
+        "word-parallel NPN canonicalization over the per-minterm path",
+        &mut failures,
+    )?;
 
     let base_hit_rate = f64_field(baseline, "hit_rate", &args.baseline)?;
     let cur_hit_rate = f64_field(current, "hit_rate", &args.current)?;
@@ -603,6 +642,24 @@ fn gate_scrape(
             "the server counted {hits} cache hit(s), the cached arm's replies {client_hits}"
         ));
     }
+
+    // Queue-free cost split (informational): server-side compute per
+    // synthesize hit against per synthesizer run (the cold arm's bypasses
+    // plus the cached arm's misses), and per canonicalization.
+    let synth_hits = u64_field(cached_arm, "synthesize_hits", &args.current)?;
+    let runs = (2 * u64_field(current, "synthesize", &args.current)?).saturating_sub(synth_hits);
+    let mean_ms = |name: &str, n: u64| -> Result<f64, String> {
+        Ok(counter(cur_scrape, name, &args.current)? as f64 / n.max(1) as f64 / 1e6)
+    };
+    let (hit_ms, miss_ms) =
+        (mean_ms("engine.hit_nanos", synth_hits)?, mean_ms("engine.synthesis_nanos", runs)?);
+    println!(
+        "server-side synthesize compute (no queue wait; informational): hit {hit_ms:.3} ms \
+         x {synth_hits}, miss {miss_ms:.3} ms x {runs} ({:.1}x); canonicalize {:.3} ms \
+         x {lookups}",
+        miss_ms / hit_ms.max(1e-9),
+        mean_ms("engine.canonicalize_nanos", lookups)?,
+    );
 
     // Zero-lost accounting: cold + cached arms each replay the workload once.
     for (verb, counter_name, workload_key) in [

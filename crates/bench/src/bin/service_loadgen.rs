@@ -27,12 +27,19 @@
 //! `verified` (and `maximal` for decompose) must hold, and any failure
 //! fails the run.
 //!
+//! Before the arms, an in-process NPN arm times the word-parallel
+//! `service::canonicalize` against its per-minterm oracle
+//! `canonicalize_per_minterm` on the workload's functions (one thread,
+//! fastest of five runs each) and fails unless both return the same
+//! canonical form, key and transform, for every function.
+//!
 //! The artifact (`BENCH_service.json`, schema `bidecomp-service-v1`)
 //! records the workload shape (exact, gated bit for bit), per-arm
-//! throughput, p50/p99 latency and `cache: hit` reply count, the cached
-//! arm's hit rate, the speedup
-//! and a `robustness` snapshot of the server's failure counters (all zero
-//! on the happy path); `regress` compares it against the committed
+//! throughput, p50/p99 latency and `cache: hit` reply counts (all verbs,
+//! and `synthesize` alone), the cached arm's hit rate, the speedup, a
+//! `robustness` snapshot of the server's failure counters (all zero on the
+//! happy path) and the `npn` block (`functions`, both walls, `speedup`);
+//! `regress` compares it against the committed
 //! `BENCH_service_baseline.json` with a tolerance band on the measured
 //! quantities. `--write-baseline` refreshes the baseline.
 //!
@@ -72,8 +79,9 @@ use bidecomp::engine::seeded_divisor;
 use bidecomp::BinaryOp;
 use bidecomp_bench::cli::{bench_out_path, ArgCursor};
 use bidecomp_bench::json::{self, Value};
+use bidecomp_bench::ReferenceArm;
 use boolfunc::Isf;
-use service::npn::NpnTransform;
+use service::npn::{canonicalize, canonicalize_per_minterm, NpnTransform};
 use service::server::table_to_hex;
 use service::{FaultPlan, Server, ServiceConfig, ERR_INTERNAL, ERR_OVERLOADED};
 
@@ -207,10 +215,11 @@ fn random_transform(rng: &mut DetRng, num_vars: usize) -> NpnTransform {
 }
 
 /// One precomputed request line (without the `no_cache` marker, which the
-/// cold arm splices in) plus what kind it is.
+/// cold arm splices in) plus what kind it is and the function it carries.
 struct WorkItem {
     line: String,
     synthesize: bool,
+    f: Isf,
 }
 
 fn build_workload(args: &Args) -> Vec<WorkItem> {
@@ -274,7 +283,7 @@ fn build_workload(args: &Args) -> Vec<WorkItem> {
                     }
                 }
             };
-            WorkItem { line, synthesize }
+            WorkItem { line, synthesize, f }
         })
         .collect()
 }
@@ -286,6 +295,7 @@ struct ArmResult {
     p50_ms: f64,
     p99_ms: f64,
     hits: u64,
+    synthesize_hits: u64,
     errors: u64,
 }
 
@@ -299,6 +309,7 @@ fn run_arm(
 ) -> Result<ArmResult, String> {
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(workload.len()));
     let hits = AtomicU64::new(0);
+    let synthesize_hits = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| -> Result<(), String> {
@@ -307,6 +318,7 @@ fn run_arm(
             let stream = connect(port)?;
             let latencies = &latencies;
             let hits = &hits;
+            let synthesize_hits = &synthesize_hits;
             let errors = &errors;
             handles.push(scope.spawn(move || -> Result<(), String> {
                 let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
@@ -335,6 +347,9 @@ fn run_arm(
                     }
                     if response.get("cache").and_then(Value::as_str) == Some("hit") {
                         hits.fetch_add(1, Ordering::Relaxed);
+                        if item.synthesize {
+                            synthesize_hits.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
                 latencies.lock().unwrap().extend(local_latencies);
@@ -363,12 +378,35 @@ fn run_arm(
         p50_ms: percentile(50),
         p99_ms: percentile(99),
         hits: hits.load(Ordering::Relaxed),
+        synthesize_hits: synthesize_hits.load(Ordering::Relaxed),
         errors: errors.load(Ordering::Relaxed),
     })
 }
 
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
+}
+
+/// Runs per arm of the NPN reference arm.
+const NPN_REPEATS: usize = 5;
+
+/// Times the word-parallel [`canonicalize`] against its per-minterm oracle
+/// over every workload function (one thread, fastest of [`NPN_REPEATS`]
+/// runs each) and checks that both return the same
+/// [`service::Canonical`] (key and transform) for each.
+fn npn_arm(workload: &[WorkItem]) -> Result<ReferenceArm, String> {
+    ReferenceArm::measure(
+        workload,
+        NPN_REPEATS,
+        |item| canonicalize(&item.f),
+        |item| canonicalize_per_minterm(&item.f),
+    )
+    .map_err(|(i, word, per_minterm)| {
+        format!(
+            "request #{i}: the word-parallel canonical form differs from the per-minterm one\n  \
+             word:        {word:?}\n  per-minterm: {per_minterm:?}"
+        )
+    })
 }
 
 fn arm_to_json(arm: &ArmResult) -> Vec<(String, Value)> {
@@ -378,6 +416,7 @@ fn arm_to_json(arm: &ArmResult) -> Vec<(String, Value)> {
         ("p99_ms".into(), Value::Num(round3(arm.p99_ms))),
         ("wall_ms".into(), Value::Num(round3(arm.wall_ms))),
         ("hits".into(), json::num(arm.hits)),
+        ("synthesize_hits".into(), json::num(arm.synthesize_hits)),
     ]
 }
 
@@ -847,6 +886,22 @@ fn main() -> ExitCode {
         args.connections,
     );
 
+    let npn = match npn_arm(&workload) {
+        Ok(arm) => arm,
+        Err(message) => {
+            eprintln!("FAIL: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "npn canonicalize on {} workload functions, identical canonical forms: word {:.1} ms, \
+         per-minterm {:.1} ms (speedup {:.2}x)",
+        npn.items,
+        npn.fast_micros as f64 / 1000.0,
+        npn.oracle_micros as f64 / 1000.0,
+        npn.speedup(),
+    );
+
     let run = |label: &str, no_cache: bool| -> Result<ArmResult, String> {
         let arm = run_arm(port, &args, &workload, no_cache)?;
         println!(
@@ -930,6 +985,7 @@ fn main() -> ExitCode {
         ("hit_rate".into(), Value::Num(round3(hit_rate))),
         ("speedup".into(), Value::Num(round3(speedup))),
         ("robustness".into(), robustness),
+        ("npn".into(), npn.to_json("functions", "word_ms", "per_minterm_ms")),
     ];
     if let Some(scrape) = scrape {
         fields.push(("scrape".into(), scrape));

@@ -29,18 +29,27 @@
 //! unless both return the same cube list for every function; `regress`
 //! holds their wall ratio (`speedup`) inside a tolerance band.
 //!
+//! The `verify` block does the same for network verification: each output
+//! function is synthesized once more on one thread, and the word-parallel
+//! `bidecomp::verify_network` is timed against its per-minterm oracle
+//! `verify_network_per_minterm` on those networks. The run fails unless
+//! both give the same verdict on every network; `regress` gates the ratio
+//! like the espresso one.
+//!
 //! `--write-baseline` additionally rewrites `BENCH_synth_baseline.json`.
 //! Output lands in `BENCH_OUT_DIR` (default: working directory).
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use benchmarks::Suite;
 use bidecomp::engine::{sweep_synthesis, SynthesisConfig, SynthesisReport};
+use bidecomp::{verify_network, verify_network_per_minterm, RecursiveSynthesizer};
 use bidecomp_bench::cli::{bench_out_path, ArgCursor};
 use bidecomp_bench::json::{self, Value};
-use boolfunc::{Cover, Isf};
+use bidecomp_bench::ReferenceArm;
+use boolfunc::Isf;
 use sop::{espresso_cover, espresso_isf, EspressoOptions};
+use techmap::Network;
 
 struct Args {
     suite: String,
@@ -94,60 +103,68 @@ fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-/// The espresso reference arm: both minimizers over the suite's output
-/// functions, one thread, fastest of [`ESPRESSO_REPEATS`] runs per arm.
-struct EspressoArm {
-    functions: usize,
-    dense_micros: u64,
-    cube_list_micros: u64,
-}
+/// Runs per arm of the in-process reference arms.
+const REPEATS: usize = 3;
 
-impl EspressoArm {
-    /// Cube-list wall over dense wall: a same-process ratio, comparable
-    /// across hosts.
-    fn speedup(&self) -> f64 {
-        self.cube_list_micros as f64 / self.dense_micros.max(1) as f64
-    }
+/// Every output function the sweep synthesizes, in sweep order.
+fn suite_functions<'a>(suite: &'a Suite, config: &SynthesisConfig) -> Vec<&'a Isf> {
+    suite
+        .instances()
+        .iter()
+        .filter(|inst| inst.num_inputs() <= config.max_inputs)
+        .flat_map(|inst| inst.outputs().iter().take(config.max_outputs))
+        .collect()
 }
-
-const ESPRESSO_REPEATS: usize = 3;
 
 /// Times the dense minimizer (`espresso_isf`, the production path) against
 /// its cube-list oracle (`espresso_cover` on minterm covers) on every output
 /// function the sweep synthesizes, and checks that both return the same
 /// cube list for each.
-fn espresso_arm(suite: &Suite, config: &SynthesisConfig) -> Result<EspressoArm, String> {
-    let functions: Vec<&Isf> = suite
-        .instances()
-        .iter()
-        .filter(|inst| inst.num_inputs() <= config.max_inputs)
-        .flat_map(|inst| inst.outputs().iter().take(config.max_outputs))
-        .collect();
+fn espresso_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
     let options = EspressoOptions::default();
-    let time = |minimize: &dyn Fn(&Isf) -> Cover| {
-        let mut best = u64::MAX;
-        let mut covers = Vec::new();
-        for _ in 0..ESPRESSO_REPEATS {
-            let start = Instant::now();
-            covers = functions.iter().map(|f| minimize(f)).collect();
-            best = best.min(start.elapsed().as_micros() as u64);
-        }
-        (best, covers)
-    };
-    let (dense_micros, dense) = time(&|f| espresso_isf(f, options));
-    let (cube_list_micros, cube_list) =
-        time(&|f| espresso_cover(&f.on_cover(), &f.dc_cover(), options));
-    if let Some(i) = (0..functions.len()).find(|&i| dense[i] != cube_list[i]) {
-        return Err(format!(
+    ReferenceArm::measure(
+        functions,
+        REPEATS,
+        |f| espresso_isf(f, options),
+        |f| espresso_cover(&f.on_cover(), &f.dc_cover(), options),
+    )
+    .map_err(|(i, dense, cube_list)| {
+        format!(
             "function #{i}: the dense espresso cover differs from the cube-list one\n  \
-             dense:     {}\n  cube-list: {}",
-            dense[i], cube_list[i]
-        ));
-    }
-    Ok(EspressoArm { functions: functions.len(), dense_micros, cube_list_micros })
+             dense:     {dense}\n  cube-list: {cube_list}"
+        )
+    })
 }
 
-fn report_to_json(report: &SynthesisReport, espresso: &EspressoArm) -> Value {
+/// Synthesizes every output function once more on this thread, then times
+/// the word-parallel `verify_network` against its per-minterm oracle over
+/// the resulting networks; fails unless their verdicts agree on every one.
+fn verify_arm(functions: &[&Isf], config: &SynthesisConfig) -> Result<ReferenceArm, String> {
+    let synthesizer = RecursiveSynthesizer::new(config.recursive.clone());
+    let cases = functions
+        .iter()
+        .map(|&f| synthesizer.synthesize(f).map(|result| (f, result.network)))
+        .collect::<Result<Vec<(&Isf, Network)>, _>>()
+        .map_err(|e| format!("synthesis failed: {e}"))?;
+    ReferenceArm::measure(
+        &cases,
+        REPEATS,
+        |(f, net)| verify_network(f, net, 0),
+        |(f, net)| verify_network_per_minterm(f, net, 0),
+    )
+    .map_err(|(i, word, per_minterm)| {
+        format!(
+            "network #{i}: word-parallel verify_network says {word}, \
+             the per-minterm oracle {per_minterm}"
+        )
+    })
+}
+
+fn report_to_json(
+    report: &SynthesisReport,
+    espresso: &ReferenceArm,
+    verify: &ReferenceArm,
+) -> Value {
     let instances = report
         .jobs
         .iter()
@@ -177,15 +194,8 @@ fn report_to_json(report: &SynthesisReport, espresso: &EspressoArm) -> Value {
         ("total_branches".into(), json::num(total_branches)),
         ("average_gain_percent".into(), Value::Num(round3(report.average_gain_percent()))),
         ("wall_ms".into(), Value::Num(report.wall_micros as f64 / 1000.0)),
-        (
-            "espresso".into(),
-            Value::Object(vec![
-                ("functions".into(), json::num(espresso.functions as u64)),
-                ("dense_ms".into(), Value::Num(espresso.dense_micros as f64 / 1000.0)),
-                ("cube_list_ms".into(), Value::Num(espresso.cube_list_micros as f64 / 1000.0)),
-                ("speedup".into(), Value::Num(round3(espresso.speedup()))),
-            ]),
-        ),
+        ("espresso".into(), espresso.to_json("functions", "dense_ms", "cube_list_ms")),
+        ("verify".into(), verify.to_json("networks", "word_ms", "per_minterm_ms")),
         ("instances".into(), Value::Array(instances)),
     ])
 }
@@ -240,8 +250,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let espresso = match espresso_arm(&suite, &args.config) {
-        Ok(arm) => arm,
+    let functions = suite_functions(&suite, &args.config);
+    let (espresso, verify) = match espresso_arm(&functions)
+        .and_then(|e| Ok((e, verify_arm(&functions, &args.config)?)))
+    {
+        Ok(arms) => arms,
         Err(message) => {
             eprintln!("FAIL: {message}");
             return ExitCode::FAILURE;
@@ -250,13 +263,21 @@ fn main() -> ExitCode {
     println!(
         "espresso on {} output functions, identical covers: dense {:.1} ms, \
          cube-list {:.1} ms (speedup {:.2}x)",
-        espresso.functions,
-        espresso.dense_micros as f64 / 1000.0,
-        espresso.cube_list_micros as f64 / 1000.0,
+        espresso.items,
+        espresso.fast_micros as f64 / 1000.0,
+        espresso.oracle_micros as f64 / 1000.0,
         espresso.speedup(),
     );
+    println!(
+        "verify_network on {} synthesized networks, identical verdicts: word {:.2} ms, \
+         per-minterm {:.1} ms (speedup {:.2}x)",
+        verify.items,
+        verify.fast_micros as f64 / 1000.0,
+        verify.oracle_micros as f64 / 1000.0,
+        verify.speedup(),
+    );
 
-    let doc = report_to_json(&report, &espresso);
+    let doc = report_to_json(&report, &espresso, &verify);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

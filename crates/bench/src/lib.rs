@@ -151,6 +151,64 @@ pub fn run_instance(
     ))
 }
 
+/// An in-process reference arm: a production kernel and its oracle timed
+/// over the same items on one thread, fastest of `repeats` runs each. The
+/// artifacts record the wall ratio (`speedup`), which is a same-process
+/// quantity and so comparable across hosts; `regress` gates it.
+#[derive(Debug, Clone, Copy)]
+pub struct ReferenceArm {
+    /// Number of items both paths ran on.
+    pub items: usize,
+    /// Fastest production wall, microseconds.
+    pub fast_micros: u64,
+    /// Fastest oracle wall, microseconds.
+    pub oracle_micros: u64,
+}
+
+impl ReferenceArm {
+    /// Times `fast` and then `oracle` over `items`. Fails with the first
+    /// item index whose results differ, and both results.
+    pub fn measure<T, R: PartialEq>(
+        items: &[T],
+        repeats: usize,
+        fast: impl Fn(&T) -> R,
+        oracle: impl Fn(&T) -> R,
+    ) -> Result<ReferenceArm, (usize, R, R)> {
+        let time = |run: &dyn Fn(&T) -> R| {
+            let mut best = u64::MAX;
+            let mut results = Vec::new();
+            for _ in 0..repeats {
+                let start = Instant::now();
+                results = items.iter().map(run).collect::<Vec<R>>();
+                best = best.min(start.elapsed().as_micros() as u64);
+            }
+            (best, results)
+        };
+        let (fast_micros, fast) = time(&fast);
+        let (oracle_micros, oracle) = time(&oracle);
+        match fast.into_iter().zip(oracle).enumerate().find(|(_, (a, b))| a != b) {
+            Some((i, (a, b))) => Err((i, a, b)),
+            None => Ok(ReferenceArm { items: items.len(), fast_micros, oracle_micros }),
+        }
+    }
+
+    /// Oracle wall over production wall.
+    pub fn speedup(&self) -> f64 {
+        self.oracle_micros as f64 / self.fast_micros.max(1) as f64
+    }
+
+    /// The artifact block: the item count and both walls under the given
+    /// field names, plus `speedup`.
+    pub fn to_json(&self, items: &str, fast_ms: &str, oracle_ms: &str) -> json::Value {
+        json::Value::Object(vec![
+            (items.into(), json::num(self.items as u64)),
+            (fast_ms.into(), json::Value::Num(self.fast_micros as f64 / 1000.0)),
+            (oracle_ms.into(), json::Value::Num(self.oracle_micros as f64 / 1000.0)),
+            ("speedup".into(), json::Value::Num((self.speedup() * 1000.0).round() / 1000.0)),
+        ])
+    }
+}
+
 /// Runs a whole suite and assembles the table report.
 pub fn run_suite(
     title: &str,

@@ -34,6 +34,18 @@ impl TruthTable {
     /// (2^26 bits = 8 MiB per table).
     pub const MAX_VARS: usize = 26;
 
+    /// The minterms of variables 0–5 inside one word of
+    /// [`TruthTable::as_words`]: bit `m` of `VAR_PATTERNS[i]` is bit `i` of
+    /// `m`. Word-parallel kernels start from these.
+    pub const VAR_PATTERNS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+
     fn check_vars(num_vars: usize) -> Result<(), BoolFuncError> {
         if num_vars > Self::MAX_VARS {
             Err(BoolFuncError::TooManyVariables { requested: num_vars, max: Self::MAX_VARS })

@@ -906,8 +906,8 @@ pub struct SynthesisJobResult {
     /// Mapped area of the flat 2-SPP realization the recursion competed
     /// against.
     pub flat_area: f64,
-    /// `true` if exhaustive `Network::eval` agreed with `f` on every care
-    /// minterm.
+    /// `true` if exhaustive simulation (`verify_network`) agreed with `f`
+    /// on every care minterm.
     pub verified: bool,
     /// Wall time of the job in nanoseconds. Excluded from determinism
     /// comparisons.

@@ -15,7 +15,7 @@
 //! the depth cap, or the absence of gain. The result is a multi-level
 //! [`techmap::Network`] plus a [`DecompositionTree`] report mirroring the
 //! choices made, and the network is always checked against `f`'s care set by
-//! exhaustive [`Network::eval`].
+//! exhaustive word-parallel simulation ([`verify_network`]).
 //!
 //! ```rust
 //! use bidecomp::recursive::RecursiveSynthesizer;
@@ -35,7 +35,7 @@ use std::fmt;
 use benchmarks::DetRng;
 use boolfunc::{Isf, TruthTable};
 use spp::{SppForm, SppSynthesizer};
-use techmap::{AreaModel, Network, NodeId};
+use techmap::{AreaModel, Network, NodeId, NodeKind};
 
 use crate::cache::{cached_full_quotient, SharedQuotientCache};
 use crate::decompose::{combine_op, derive_strategy_divisor, ApproxStrategy};
@@ -225,8 +225,9 @@ pub struct RecursiveSynthesis {
     pub flat_area: f64,
     /// Mapped area of [`RecursiveSynthesis::network`].
     pub mapped_area: f64,
-    /// `true` if exhaustive [`Network::eval`] agreed with `f` on every care
-    /// minterm (it always should; the engine and the tests assert it).
+    /// `true` if exhaustive simulation ([`verify_network`]) agreed with `f`
+    /// on every care minterm (it always should; the engine and the tests
+    /// assert it).
     pub verified: bool,
 }
 
@@ -471,7 +472,46 @@ fn child_seed(seed: u64, index: u64) -> u64 {
 
 /// Exhaustively checks `network` output `output_index` against `f` on every
 /// care minterm.
+///
+/// Simulates the network on 64 minterms per `u64`, one table word at a
+/// time: inputs 0–5 are the in-word variable patterns, higher inputs are
+/// all-ones or all-zeros words picked by the word index, and every node's
+/// value lives in one scratch vector reused across words. A word fails
+/// when `(out ^ on) & !dc` is non-zero on its valid minterms. The verdict
+/// is identical to the per-minterm [`verify_network_per_minterm`].
+///
+/// # Panics
+///
+/// Panics if `output_index` is not a declared output of `network`.
 pub fn verify_network(f: &Isf, network: &Network, output_index: usize) -> bool {
+    let root = network.outputs()[output_index].index();
+    let words = f.on().as_words().iter().zip(f.dc().as_words());
+    let last = f.on().as_words().len() - 1;
+    let mut values = vec![0u64; network.num_nodes()];
+    let word = |bit: bool| if bit { u64::MAX } else { 0 };
+    for (k, (&on, &dc)) in words.enumerate() {
+        for id in network.node_ids() {
+            values[id.index()] = match network.kind(id) {
+                NodeKind::Input(var) if var < 6 => TruthTable::VAR_PATTERNS[var],
+                NodeKind::Input(var) => word(k.checked_shr((var - 6) as u32).unwrap_or(0) & 1 == 1),
+                NodeKind::Const(v) => word(v),
+                NodeKind::Not(a) => !values[a.index()],
+                NodeKind::And(a, b) => values[a.index()] & values[b.index()],
+                NodeKind::Or(a, b) => values[a.index()] | values[b.index()],
+                NodeKind::Xor(a, b) => values[a.index()] ^ values[b.index()],
+            };
+        }
+        let tail = if k == last { f.on().tail_mask() } else { u64::MAX };
+        if (values[root] ^ on) & !dc & tail != 0 {
+            return false;
+        }
+    }
+    true
+}
+
+/// The per-minterm oracle of [`verify_network`]: one [`Network::eval`] per
+/// minterm.
+pub fn verify_network_per_minterm(f: &Isf, network: &Network, output_index: usize) -> bool {
     (0..(1u64 << f.num_vars()))
         .all(|m| f.value(m).is_none_or(|v| network.eval(m)[output_index] == v))
 }
@@ -630,6 +670,93 @@ mod tests {
             assert_eq!(plain.tree.depth(), result.tree.depth());
         }
         assert!(cache.hits.load(Ordering::Relaxed) > 0, "the warm run must hit");
+    }
+
+    /// A random single-output network over `n` inputs: a constant node,
+    /// about three quarters of the inputs (the rest stay unused) and
+    /// `gates` random AND/OR/XOR/NOT nodes over everything built so far.
+    fn random_network(rng: &mut DetRng, n: usize, gates: usize) -> Network {
+        let mut net = Network::new(n);
+        let mut nodes = vec![net.constant(rng.next_u64() & 1 == 1)];
+        nodes
+            .extend((0..n).filter(|_| !rng.next_u64().is_multiple_of(4)).map(|var| net.input(var)));
+        for _ in 0..gates {
+            let a = nodes[(rng.next_u64() % nodes.len() as u64) as usize];
+            let b = nodes[(rng.next_u64() % nodes.len() as u64) as usize];
+            let node = match rng.next_u64() % 4 {
+                0 => net.and(a, b),
+                1 => net.or(a, b),
+                2 => net.xor(a, b),
+                _ => net.not(a),
+            };
+            nodes.push(node);
+        }
+        net.add_output(*nodes.last().expect("the constant is always there"));
+        net
+    }
+
+    /// A copy of `net` whose node `target` computes a different function
+    /// (AND ↔ OR, XOR → OR, NOT → buffer).
+    fn flip_gate(net: &Network, target: usize) -> Network {
+        let mut out = Network::new(net.num_inputs());
+        let mut map: Vec<NodeId> = Vec::with_capacity(net.num_nodes());
+        for id in net.node_ids() {
+            let flip = id.index() == target;
+            let node = match net.kind(id) {
+                NodeKind::Input(var) => out.input(var),
+                NodeKind::Const(v) => out.constant(v),
+                NodeKind::Not(a) if flip => map[a.index()],
+                NodeKind::Not(a) => out.not(map[a.index()]),
+                NodeKind::And(a, b) if !flip => out.and(map[a.index()], map[b.index()]),
+                NodeKind::Xor(a, b) if !flip => out.xor(map[a.index()], map[b.index()]),
+                NodeKind::And(a, b) | NodeKind::Xor(a, b) => out.or(map[a.index()], map[b.index()]),
+                NodeKind::Or(a, b) if flip => out.and(map[a.index()], map[b.index()]),
+                NodeKind::Or(a, b) => out.or(map[a.index()], map[b.index()]),
+            };
+            map.push(node);
+        }
+        out.add_output(map[net.outputs()[0].index()]);
+        out
+    }
+
+    #[test]
+    fn word_verify_network_matches_the_per_minterm_oracle() {
+        let mut rng = DetRng::seed_from_u64(0x005E_ED0F_AB1E);
+        let mut rejected = 0;
+        for n in 1..=10usize {
+            for case in 0..8 {
+                let net = random_network(&mut rng, n, 4 + case * 3);
+                let on = TruthTable::from_fn(n, |m| net.eval(m)[0]);
+                let dc = if case % 2 == 0 {
+                    TruthTable::zero(n)
+                } else {
+                    TruthTable::from_words(n, || rng.next_u64() & rng.next_u64())
+                };
+                let f = Isf::new(on.difference(&dc), dc).unwrap();
+                assert!(verify_network(&f, &net, 0), "n={n} case={case}");
+                assert!(verify_network_per_minterm(&f, &net, 0), "n={n} case={case}");
+
+                // An unrelated function and every single-gate tampering must
+                // get the oracle's verdict, whichever it is.
+                let other = Isf::completely_specified(TruthTable::from_words(n, || rng.next_u64()));
+                assert_eq!(
+                    verify_network(&other, &net, 0),
+                    verify_network_per_minterm(&other, &net, 0),
+                    "n={n} case={case}: unrelated function"
+                );
+                for target in net.node_ids().map(NodeId::index) {
+                    let tampered = flip_gate(&net, target);
+                    let verdict = verify_network(&f, &tampered, 0);
+                    assert_eq!(
+                        verdict,
+                        verify_network_per_minterm(&f, &tampered, 0),
+                        "n={n} case={case}: gate {target} flipped"
+                    );
+                    rejected += usize::from(!verdict);
+                }
+            }
+        }
+        assert!(rejected > 100, "only {rejected} tampered networks were rejected");
     }
 
     #[test]

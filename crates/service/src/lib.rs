@@ -18,8 +18,8 @@
 //!   request results (`synthesize` networks and `decompose` quotients). The
 //!   server canonicalizes each request's function once and passes the
 //!   [`Canonical`] to every probe, lookup and store. The cache sits in front
-//!   of whole requests only: a canonicalization costs about 0.5 ms at 9
-//!   inputs and 3.5 ms at 12, a Table II quotient under a microsecond, and
+//!   of whole requests only: a canonicalization costs about 0.03 ms at 9
+//!   inputs and 0.16 ms at 12, a Table II quotient under a microsecond, and
 //!   the quotient subproblems inside a synthesis almost never recur (no
 //!   hit in 600 lookups on 200 never-repeated 9–12-input functions), so the
 //!   recursion recomputes them;

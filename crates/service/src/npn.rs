@@ -30,7 +30,16 @@
 //!   candidate set is built from equivariant statistics, all members of an
 //!   NPN class that stay under the cap canonicalize to the same key; a
 //!   capped search is still *sound* (the key is always reached through a
-//!   real transform), it can only cost cache hits.
+//!   real transform), it can only cost cache hits. Candidates are
+//!   materialized on the packed words too: input negations are block or
+//!   word swaps, the permutation at most `n − 1` variable transpositions.
+//!
+//! Every transform keeps a per-minterm oracle
+//! ([`NpnTransform::permute_table_per_minterm`],
+//! [`NpnTransform::apply_isf_per_minterm`], [`canonicalize_per_minterm`])
+//! that the word-parallel paths are tested against bit for bit.
+
+use std::cmp::Ordering;
 
 use boolfunc::{Isf, TruthTable};
 
@@ -127,13 +136,55 @@ impl NpnTransform {
     /// with a canonicalized dividend: the output complementation of `f` is
     /// absorbed by complementing the operator ([`NpnTransform::map_op`]),
     /// never by touching `g` or `h`.
+    ///
+    /// Word-parallel (block swaps, delta swaps and word swaps on the packed
+    /// table); bit-identical to the per-minterm
+    /// [`NpnTransform::permute_table_per_minterm`].
     pub fn permute_table(&self, t: &TruthTable) -> TruthTable {
+        assert_eq!(t.num_vars(), self.num_vars(), "transform arity mismatch");
+        let mut words = t.as_words().to_vec();
+        self.permute_words(&mut words);
+        let mut next = words.into_iter();
+        TruthTable::from_words(t.num_vars(), || next.next().expect("one word per word"))
+    }
+
+    /// The per-minterm oracle of [`NpnTransform::permute_table`]: moves one
+    /// on-set minterm at a time through [`NpnTransform::permute_minterm`].
+    pub fn permute_table_per_minterm(&self, t: &TruthTable) -> TruthTable {
         assert_eq!(t.num_vars(), self.num_vars(), "transform arity mismatch");
         let mut out = TruthTable::zero(t.num_vars());
         for m in t.ones() {
             out.set(self.permute_minterm(m), true);
         }
         out
+    }
+
+    /// Applies the input part of the transform in place to the packed words
+    /// of a table over `self.num_vars()` variables: each input negation is
+    /// a block swap inside every word (variables 0–5) or a swap of word
+    /// pairs (variables 6 and up), and the permutation is at most `n − 1`
+    /// variable transpositions — a delta swap when both variables are
+    /// in-word, word swaps when both are 6 or up, and a masked shift
+    /// between word pairs in the mixed case.
+    fn permute_words(&self, words: &mut [u64]) {
+        let n = self.num_vars();
+        for i in (0..n).filter(|&i| self.input_neg >> i & 1 == 1) {
+            negate_var(words, i);
+        }
+        // `at[p]` is the original variable now at position `p`, `pos` its
+        // inverse. Each step moves one variable to its final position
+        // `perm[v]`; positions already settled are never touched again.
+        let mut at: [u8; 32] = std::array::from_fn(|p| p as u8);
+        let mut pos = at;
+        for v in 0..n {
+            let (p, q) = (self.perm[v] as usize, pos[v] as usize);
+            if p != q {
+                swap_vars(words, p.min(q), p.max(q));
+                let u = at[p];
+                (at[q], pos[u as usize]) = (u, q as u8);
+                (at[p], pos[v]) = (v as u8, p as u8);
+            }
+        }
     }
 
     /// Applies the input part of the transform to both sets of an ISF (used
@@ -150,6 +201,13 @@ impl NpnTransform {
     pub fn apply_isf(&self, f: &Isf) -> Isf {
         let base_on = if self.output_neg { f.off() } else { f.on().clone() };
         Isf::new(self.permute_table(&base_on), self.permute_table(f.dc()))
+            .expect("transformed sets stay disjoint")
+    }
+
+    /// The per-minterm oracle of [`NpnTransform::apply_isf`].
+    pub fn apply_isf_per_minterm(&self, f: &Isf) -> Isf {
+        let base_on = if self.output_neg { f.off() } else { f.on().clone() };
+        Isf::new(self.permute_table_per_minterm(&base_on), self.permute_table_per_minterm(f.dc()))
             .expect("transformed sets stay disjoint")
     }
 
@@ -241,7 +299,7 @@ impl CanonicalKey {
 
 /// The result of [`canonicalize`]: the class key and the transform mapping
 /// the queried function onto the representative.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Canonical {
     /// Cache key: the representative's raw words.
     pub key: CanonicalKey,
@@ -269,10 +327,31 @@ pub struct Canonical {
 /// ```
 pub fn canonicalize(f: &Isf) -> Canonical {
     if f.num_vars() <= MAX_EXACT_VARS {
-        canonicalize_exact(f)
+        let transform = exact_transform(f);
+        Canonical { key: CanonicalKey::from_isf(&transform.apply_isf(f)), transform }
     } else {
-        canonicalize_greedy(f)
+        greedy_winner(f)
     }
+}
+
+/// The per-minterm oracle of [`canonicalize`]: the same search, but every
+/// candidate image is materialized by [`NpnTransform::apply_isf_per_minterm`].
+/// Returns a bit-identical [`Canonical`] (key and transform).
+pub fn canonicalize_per_minterm(f: &Isf) -> Canonical {
+    let transform = if f.num_vars() <= MAX_EXACT_VARS {
+        exact_transform(f)
+    } else {
+        // `min_by` keeps the first of equal images, as `greedy_winner` does.
+        greedy_candidates(f)
+            .into_iter()
+            .map(|t| (t.apply_isf_per_minterm(f), t))
+            .min_by(|(a, _), (b, _)| {
+                (a.on().as_words(), a.dc().as_words()).cmp(&(b.on().as_words(), b.dc().as_words()))
+            })
+            .expect("at least one candidate is always generated")
+            .1
+    };
+    Canonical { key: CanonicalKey::from_isf(&transform.apply_isf_per_minterm(f)), transform }
 }
 
 // --- exact search on u64-packed tables -----------------------------------
@@ -343,10 +422,51 @@ fn swap_vars_packed(t: u64, i: usize, j: usize) -> u64 {
     t ^ x ^ (x << d)
 }
 
+/// Complements variable `i` of a multi-word table: a block swap inside
+/// every word for `i < 6`, else a swap of the word pairs `i` selects.
+fn negate_var(words: &mut [u64], i: usize) {
+    if i < 6 {
+        for w in words.iter_mut() {
+            *w = neg_var_packed(*w, i);
+        }
+    } else {
+        let bit = 1 << (i - 6);
+        for k in (0..words.len()).filter(|k| k & bit == 0) {
+            words.swap(k, k | bit);
+        }
+    }
+}
+
+/// Exchanges variables `i < j` of a multi-word table: a delta swap inside
+/// every word when both are in-word, word swaps when both are 6 or up, and
+/// in the mixed case a masked shift between the word pairs `j` selects
+/// (the `x_i = 1, x_j = 0` half of the low word trades places with the
+/// `x_i = 0, x_j = 1` half of the high word).
+fn swap_vars(words: &mut [u64], i: usize, j: usize) {
+    debug_assert!(i < j);
+    if j < 6 {
+        for w in words.iter_mut() {
+            *w = swap_vars_packed(*w, i, j);
+        }
+    } else if i >= 6 {
+        let (a, b) = (1 << (i - 6), 1 << (j - 6));
+        for k in (0..words.len()).filter(|k| k & a != 0 && k & b == 0) {
+            words.swap(k, k ^ a ^ b);
+        }
+    } else {
+        let (s, low, b) = (1u32 << i, NEG_MASKS[i], 1 << (j - 6));
+        for k in (0..words.len()).filter(|k| k & b == 0) {
+            let (lo, hi) = (words[k], words[k | b]);
+            words[k] = (lo & low) | ((hi & low) << s);
+            words[k | b] = (hi & !low) | ((lo & !low) >> s);
+        }
+    }
+}
+
 /// One packed candidate: `(on, dc)` words, compared lexicographically.
 type Packed = (u64, u64);
 
-fn canonicalize_exact(f: &Isf) -> Canonical {
+fn exact_transform(f: &Isf) -> NpnTransform {
     let n = f.num_vars();
     let on0 = f.on().as_words()[0];
     let dc0 = f.dc().as_words()[0];
@@ -404,8 +524,7 @@ fn canonicalize_exact(f: &Isf) -> Canonical {
         }
     }
 
-    let (_, transform) = best.expect("the transform group is never empty");
-    Canonical { key: CanonicalKey::from_isf(&transform.apply_isf(f)), transform }
+    best.expect("the transform group is never empty").1
 }
 
 // --- greedy signature search above MAX_EXACT_VARS -------------------------
@@ -432,14 +551,14 @@ fn cofactor_weight(t: &TruthTable, var: usize) -> u64 {
 /// every tie *forks* instead of guessing, so the candidate set — and hence
 /// the winning key — is the same for every member of the NPN class (until
 /// [`CANDIDATE_CAP`] truncates a pathologically symmetric function).
-fn canonicalize_greedy(f: &Isf) -> Canonical {
+fn greedy_candidates(f: &Isf) -> Vec<NpnTransform> {
     let n = f.num_vars();
     let on_count = f.on().count_ones();
     let off_count = f.num_minterms_off();
     let output_candidates: &[bool] = match on_count.cmp(&off_count) {
-        std::cmp::Ordering::Less => &[false],
-        std::cmp::Ordering::Greater => &[true],
-        std::cmp::Ordering::Equal => &[false, true],
+        Ordering::Less => &[false],
+        Ordering::Greater => &[true],
+        Ordering::Equal => &[false, true],
     };
 
     let mut transforms: Vec<NpnTransform> = Vec::new();
@@ -460,9 +579,9 @@ fn canonicalize_greedy(f: &Isf) -> Canonical {
             let dc1 = cofactor_weight(dc, i);
             let dc0 = total_dc - dc1;
             let flip = match (on1, dc1).cmp(&(on0, dc0)) {
-                std::cmp::Ordering::Less => Some(false),
-                std::cmp::Ordering::Greater => Some(true),
-                std::cmp::Ordering::Equal => None, // fork below
+                Ordering::Less => Some(false),
+                Ordering::Greater => Some(true),
+                Ordering::Equal => None, // fork below
             };
             match flip {
                 Some(true) => {
@@ -495,7 +614,7 @@ fn canonicalize_greedy(f: &Isf) -> Canonical {
         }
         let mut orders: Vec<Vec<usize>> = vec![Vec::with_capacity(n)];
         for block in &blocks {
-            let arrangements = permutations(block);
+            let arrangements = permutations(block, CANDIDATE_CAP);
             let mut next = Vec::with_capacity(orders.len() * arrangements.len());
             for prefix in &orders {
                 for arrangement in &arrangements {
@@ -525,37 +644,63 @@ fn canonicalize_greedy(f: &Isf) -> Canonical {
         }
     }
 
-    let mut best: Option<(Isf, NpnTransform)> = None;
-    for transform in transforms {
-        let image = transform.apply_isf(f);
-        let better = best.as_ref().is_none_or(|(b, _)| {
-            (image.on().as_words(), image.dc().as_words()) < (b.on().as_words(), b.dc().as_words())
-        });
-        if better {
-            best = Some((image, transform));
-        }
-    }
-    let (image, transform) = best.expect("at least one candidate is always generated");
-    Canonical { key: CanonicalKey::from_isf(&image), transform }
+    transforms
 }
 
-/// All orderings of `items` (the tie-block enumerator; blocks are tiny for
-/// random functions, and the caller caps the product).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for (i, &head) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, head);
-            out.push(tail);
+/// The greedy search's winner: the first candidate whose image `(on, dc)`
+/// words are lexicographically smallest. The polarity-adjusted base tables
+/// are built once; each candidate permutes copies of them in two reused
+/// buffers, and its dc-set is only permuted when its on-set does not
+/// already lose.
+fn greedy_winner(f: &Isf) -> Canonical {
+    let off = f.off();
+    let base_on = |t: &NpnTransform| if t.output_neg { off.as_words() } else { f.on().as_words() };
+    let len = off.as_words().len();
+    let (mut on, mut dc) = (vec![0u64; len], vec![0u64; len]);
+    let (mut best_on, mut best_dc) = (vec![0u64; len], vec![0u64; len]);
+    let mut best: Option<NpnTransform> = None;
+    for transform in greedy_candidates(f) {
+        on.copy_from_slice(base_on(&transform));
+        transform.permute_words(&mut on);
+        let order = if best.is_some() { on.cmp(&best_on) } else { Ordering::Less };
+        if order == Ordering::Greater {
+            continue;
         }
-        if out.len() > CANDIDATE_CAP {
+        dc.copy_from_slice(f.dc().as_words());
+        transform.permute_words(&mut dc);
+        if order == Ordering::Less || dc < best_dc {
+            std::mem::swap(&mut on, &mut best_on);
+            std::mem::swap(&mut dc, &mut best_dc);
+            best = Some(transform);
+        }
+    }
+    best_on.extend_from_slice(&best_dc);
+    Canonical {
+        key: CanonicalKey { num_vars: f.num_vars() as u8, words: best_on.into_boxed_slice() },
+        transform: best.expect("at least one candidate is always generated"),
+    }
+}
+
+/// The first `limit` orderings of `items` (the tie-block enumerator) in
+/// lexicographic order of their positions in `items`: each head in turn,
+/// then the orderings of the rest. The caller uses at most
+/// [`CANDIDATE_CAP`] of them, so a block of `k` tied variables costs at
+/// most that many orderings instead of `k!`.
+fn permutations(items: &[usize], limit: usize) -> Vec<Vec<usize>> {
+    let mut index: Vec<usize> = (0..items.len()).collect();
+    let mut out = Vec::new();
+    loop {
+        out.push(index.iter().map(|&i| items[i]).collect());
+        // Step `index` to its lexicographic successor, if any.
+        let Some(p) = (1..index.len()).rev().find(|&p| index[p - 1] < index[p]) else {
+            break;
+        };
+        if out.len() >= limit {
             break;
         }
+        let q = (p..index.len()).rev().find(|&q| index[q] > index[p - 1]).expect("index[p] is");
+        index.swap(p - 1, q);
+        index[p..].reverse();
     }
     out
 }
@@ -625,7 +770,7 @@ mod tests {
                     neg.input_neg = 1 << i;
                     assert_eq!(
                         neg_var_packed(t0, i),
-                        neg.permute_table(f.on()).as_words()[0],
+                        neg.permute_table_per_minterm(f.on()).as_words()[0],
                         "n={n} negate x{i}"
                     );
                 }
@@ -636,11 +781,102 @@ mod tests {
                         let swap = NpnTransform::new(perm, 0, false);
                         assert_eq!(
                             swap_vars_packed(t0, i, j),
-                            swap.permute_table(f.on()).as_words()[0],
+                            swap.permute_table_per_minterm(f.on()).as_words()[0],
                             "n={n} swap x{i} x{j}"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A `service-cold`-style function: eight on-cubes and two dc-cubes of
+    /// two or three literals each (many equal cofactor weights, so the
+    /// greedy search forks).
+    fn cube_isf(rng: &mut DetRng, n: usize) -> Isf {
+        let cube = |rng: &mut DetRng| {
+            let mut chars = vec!['-'; n];
+            for _ in 0..2 + rng.next_u64() % 2 {
+                chars[(rng.next_u64() % n as u64) as usize] =
+                    if rng.next_u64() & 1 == 0 { '0' } else { '1' };
+            }
+            chars.into_iter().collect::<String>()
+        };
+        let on: Vec<String> = (0..8).map(|_| cube(rng)).collect();
+        let dc: Vec<String> = (0..2).map(|_| cube(rng)).collect();
+        let on: Vec<&str> = on.iter().map(String::as_str).collect();
+        let dc: Vec<&str> = dc.iter().map(String::as_str).collect();
+        Isf::from_cover_str(n, &on, &dc).unwrap()
+    }
+
+    #[test]
+    fn word_transforms_match_the_per_minterm_oracle() {
+        let mut rng = DetRng::seed_from_u64(0x00A4_C1E5);
+        for n in 1..=14usize {
+            for case in 0..6 {
+                let f = random_isf(&mut rng, n, case % 2 == 0);
+                let t = if case == 0 {
+                    NpnTransform::identity(n)
+                } else {
+                    random_transform(&mut rng, n)
+                };
+                assert_eq!(
+                    t.permute_table(f.on()),
+                    t.permute_table_per_minterm(f.on()),
+                    "n={n} {t:?}"
+                );
+                let permuted = Isf::new(
+                    t.permute_table_per_minterm(f.on()),
+                    t.permute_table_per_minterm(f.dc()),
+                )
+                .unwrap();
+                assert_eq!(t.permute_isf(&f), permuted, "n={n} {t:?}");
+                assert_eq!(t.apply_isf(&f), t.apply_isf_per_minterm(&f), "n={n} {t:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn canonicalize_matches_the_per_minterm_oracle() {
+        let mut rng = DetRng::seed_from_u64(0x00C0_FFEE);
+        for n in 3..=12usize {
+            for case in 0..4 {
+                let f = if case < 2 {
+                    random_isf(&mut rng, n, case == 0)
+                } else {
+                    cube_isf(&mut rng, n)
+                };
+                assert_eq!(canonicalize(&f), canonicalize_per_minterm(&f), "n={n} case={case}");
+            }
+        }
+    }
+
+    /// The recursive enumeration `permutations` replaced: every ordering,
+    /// each head in turn, then the orderings of the rest.
+    fn all_orderings(items: &[usize]) -> Vec<Vec<usize>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut out = Vec::new();
+        for (i, &head) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(i);
+            for mut tail in all_orderings(&rest) {
+                tail.insert(0, head);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn permutations_list_a_prefix_of_the_full_enumeration() {
+        for k in 0..=7usize {
+            let items: Vec<usize> = (0..k).map(|i| (i * 5 + 3) % 11).collect();
+            let all = all_orderings(&items);
+            for limit in [1, 2, 5, 24, CANDIDATE_CAP, usize::MAX] {
+                let expected = &all[..all.len().min(limit)];
+                assert_eq!(permutations(&items, limit), expected, "k={k} limit={limit}");
             }
         }
     }

@@ -91,7 +91,7 @@
 //! `no_cache` request touches the cache in no way. Each worker keeps one
 //! recursive synthesizer, which recomputes the quotient subproblems of a
 //! synthesis rather than looking them up: a Table II quotient takes under
-//! a microsecond at 9–12 inputs, an NPN canonicalization 0.5–3.5 ms, and
+//! a microsecond at 9–12 inputs, an NPN canonicalization 0.03–0.16 ms, and
 //! on never-repeated 9–12-input functions almost no quotient lookup hits.
 //!
 //! Per-request compute runs under `catch_unwind`; a panicking request is
@@ -414,10 +414,14 @@ struct Counters {
     /// Request lines rejected for exceeding `max_line_bytes`.
     line_overflows: obs::Counter,
     /// Engine phase totals: time inside the quotient computation,
-    /// inside verification, and inside the recursive synthesizer.
+    /// inside verification, inside the recursive synthesizer, inside NPN
+    /// canonicalization, and inside synthesis cache hits (lookup, rewire,
+    /// verify, map). None of them includes queue wait.
     engine_quotient_nanos: obs::Counter,
     engine_verify_nanos: obs::Counter,
     engine_synthesis_nanos: obs::Counter,
+    engine_canonicalize_nanos: obs::Counter,
+    engine_hit_nanos: obs::Counter,
     /// Server-side latency per verb, admission to reply send, microseconds.
     latency_decompose: obs::Histogram,
     latency_synthesize: obs::Histogram,
@@ -443,6 +447,8 @@ impl Counters {
             engine_quotient_nanos: registry.counter("engine.quotient_nanos"),
             engine_verify_nanos: registry.counter("engine.verify_nanos"),
             engine_synthesis_nanos: registry.counter("engine.synthesis_nanos"),
+            engine_canonicalize_nanos: registry.counter("engine.canonicalize_nanos"),
+            engine_hit_nanos: registry.counter("engine.hit_nanos"),
             latency_decompose: registry.histogram("server.latency.decompose"),
             latency_synthesize: registry.histogram("server.latency.synthesize"),
             latency_stats: registry.histogram("server.latency.stats"),
@@ -518,7 +524,10 @@ impl ServiceState {
     /// way. Otherwise `f` is canonicalized here, once for the request.
     fn cache_view(&self, f: &Isf, no_cache: bool) -> Option<CacheView<'_>> {
         let cache = self.cache.as_deref().filter(|_| !no_cache)?;
-        Some(CacheView { cache, canon: canonicalize(f) })
+        let start = Instant::now();
+        let canon = canonicalize(f);
+        self.counters.engine_canonicalize_nanos.add(start.elapsed().as_nanos() as u64);
+        Some(CacheView { cache, canon })
     }
 
     /// The fault dice for the next compute request (all-false without an
@@ -1267,7 +1276,8 @@ fn synthesize_response(
 }
 
 /// The synthesis cache-hit path (rewire, re-verify, re-map), shared by the
-/// worker handler and the inline shed-path server. `None` on a cache miss.
+/// worker handler and the inline shed-path server. `None` on a cache miss;
+/// a hit's whole cost, lookup included, lands in `engine.hit_nanos`.
 fn synthesize_hit(
     state: &ServiceState,
     area: &AreaModel,
@@ -1275,26 +1285,32 @@ fn synthesize_hit(
     view: &CacheView,
     deadline: Option<Instant>,
 ) -> Option<Result<Value, RequestError>> {
+    let start = Instant::now();
     let cached = view.cache.lookup_synthesis(&view.canon, state.config_fp)?;
-    // Exhaustive re-verification is the expensive part of a hit.
-    if deadline_expired(deadline) {
-        return Some(Err(RequestError::Deadline));
-    }
-    let network = view.canon.transform.inverse().rewire_network(&cached.network);
-    if !verify_network(f, &network, 0) {
-        return Some(Err("cached network failed re-verification (cache bug)".to_string().into()));
-    }
-    let mapped_area = area.mapper().map(&network).area;
-    Some(Ok(synthesize_response(
-        f,
-        network.gate_count(),
-        cached.depth,
-        cached.branches,
-        mapped_area,
-        cached.flat_area,
-        true,
-        "hit",
-    )))
+    let answer = || {
+        // Honor the deadline before rewiring, re-verifying and re-mapping.
+        if deadline_expired(deadline) {
+            return Err(RequestError::Deadline);
+        }
+        let network = view.canon.transform.inverse().rewire_network(&cached.network);
+        if !verify_network(f, &network, 0) {
+            return Err("cached network failed re-verification (cache bug)".to_string().into());
+        }
+        let mapped_area = area.mapper().map(&network).area;
+        Ok(synthesize_response(
+            f,
+            network.gate_count(),
+            cached.depth,
+            cached.branches,
+            mapped_area,
+            cached.flat_area,
+            true,
+            "hit",
+        ))
+    };
+    let result = answer();
+    state.counters.engine_hit_nanos.add(start.elapsed().as_nanos() as u64);
+    Some(result)
 }
 
 fn handle_synthesize(

@@ -96,6 +96,8 @@ fn metrics_verb_round_trips_and_counts() {
         "engine.quotient_nanos",
         "engine.verify_nanos",
         "engine.synthesis_nanos",
+        "engine.canonicalize_nanos",
+        "engine.hit_nanos",
         "cache.hits",
         "cache.probe_hits",
         "cache.probe_misses",
@@ -137,6 +139,9 @@ fn metrics_verb_round_trips_and_counts() {
     assert!(counter(&busy, "engine.quotient_nanos") > 0);
     assert!(counter(&busy, "engine.verify_nanos") > 0);
     assert!(counter(&busy, "engine.synthesis_nanos") > 0);
+    assert!(counter(&busy, "engine.canonicalize_nanos") > 0);
+    // The one synthesize request missed, so no hit was timed.
+    assert_eq!(counter(&busy, "engine.hit_nanos"), 0);
     // The decompose repeat hit the NPN cache; the synthesize miss inserted.
     assert!(counter(&busy, "cache.hits") >= 1);
     assert!(counter(&busy, "cache.insertions") >= 1);

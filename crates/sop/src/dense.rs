@@ -79,16 +79,6 @@ pub fn espresso_isf(f: &Isf, options: EspressoOptions) -> Cover {
     best
 }
 
-/// The minterms of variables 0–5 inside one 64-bit table word.
-const VAR_PATTERNS: [u64; 6] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
 /// A cube laid over a truth table: the minterm mask its literals on
 /// variables 0–5 select inside a word, and the words `w` its literals on
 /// variables 6 and up select (`w & care == value`).
@@ -155,7 +145,7 @@ impl<'a> Tables<'a> {
     fn span(&self, cube: &Cube) -> Span {
         let (mask, polarity) = (cube.mask(), cube.polarity());
         let mut bits = self.valid;
-        for (var, pattern) in VAR_PATTERNS.iter().enumerate() {
+        for (var, pattern) in TruthTable::VAR_PATTERNS.iter().enumerate() {
             if mask >> var & 1 == 1 {
                 bits &= if polarity >> var & 1 == 1 { *pattern } else { !*pattern };
             }
@@ -302,7 +292,7 @@ impl<'a> Tables<'a> {
         // A variable stays a literal when only one of its values occurs.
         let high = !(all_words ^ any_word) & self.word_bits;
         let (mut mask, mut value) = ((high as u64) << 6, ((all_words & high) as u64) << 6);
-        for (var, pattern) in VAR_PATTERNS.iter().enumerate().take(self.num_vars) {
+        for (var, pattern) in TruthTable::VAR_PATTERNS.iter().enumerate().take(self.num_vars) {
             let (ones, zeros) = (low & pattern != 0, low & !pattern != 0);
             if ones != zeros {
                 mask |= 1 << var;
