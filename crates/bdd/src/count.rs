@@ -1,4 +1,4 @@
-//! Model counting and minterm enumeration.
+//! Model counting.
 //!
 //! With complement edges, counting works on the *regular* node function and
 //! applies the complement identity `|¬f| = 2^span − |f|` per edge; with a
@@ -24,17 +24,6 @@ impl BddManager {
         let total = self.count_edge(f, 0, &mut memo);
         self.count_memo = memo;
         u64::try_from(total).unwrap_or(u64::MAX)
-    }
-
-    /// Fraction of the 2^n minterms on which `f` is 1.
-    pub fn density(&mut self, f: Bdd) -> f64 {
-        self.sat_count(f) as f64 / (1u128 << self.num_vars()) as f64
-    }
-
-    /// Fraction of minterms on which `f` and `g` differ.
-    pub fn error_rate(&mut self, f: Bdd, g: Bdd) -> f64 {
-        let x = self.xor(f, g);
-        self.density(x)
     }
 
     /// Minterms of `f` over the variables at levels `[level, n)`. The memo is
@@ -71,47 +60,6 @@ impl BddManager {
         memo.insert(idx, c);
         c
     }
-
-    /// Returns one satisfying minterm of `f`, or `None` if `f` is the
-    /// constant 0. Unconstrained variables are set to 0.
-    pub fn one_sat(&self, f: Bdd) -> Option<u64> {
-        if self.is_zero(f) {
-            return None;
-        }
-        let mut minterm = 0u64;
-        let mut cur = f;
-        while !self.is_terminal(cur) {
-            let n = self.node(cur);
-            // Cofactors as seen through this edge (complement pushes down).
-            let (low, high) = if cur.is_complemented() {
-                (self.not(n.low), self.not(n.high))
-            } else {
-                (n.low, n.high)
-            };
-            if self.is_zero(low) {
-                minterm |= 1u64 << n.var;
-                cur = high;
-            } else {
-                cur = low;
-            }
-        }
-        debug_assert!(self.is_one(cur));
-        Some(minterm)
-    }
-
-    /// Collects every satisfying minterm of `f`.
-    ///
-    /// Intended for testing and for the small worked examples of the paper;
-    /// the number of minterms can be exponential in `n`.
-    pub fn all_sat(&self, f: Bdd) -> Vec<u64> {
-        let mut result = Vec::new();
-        for m in 0..(1u64 << self.num_vars()) {
-            if self.eval(f, m) {
-                result.push(m);
-            }
-        }
-        result
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +90,6 @@ mod tests {
         let tt = boolfunc::TruthTable::from_fn(6, |m| (m.wrapping_mul(2654435761)) % 5 < 2);
         let f = mgr.from_truth_table(&tt);
         assert_eq!(mgr.sat_count(f), tt.count_ones());
-        assert_eq!(mgr.all_sat(f).len() as u64, tt.count_ones());
     }
 
     #[test]
@@ -154,32 +101,5 @@ mod tests {
         assert_eq!(mgr.sat_count(f), expected);
         mgr.sift(&[f]);
         assert_eq!(mgr.sat_count(f), expected, "counting must follow the sifted order");
-    }
-
-    #[test]
-    fn density_and_error_rate() {
-        let mut mgr = BddManager::new(4);
-        let x0 = mgr.variable(0);
-        let x1 = mgr.variable(1);
-        assert!((mgr.density(x0) - 0.5).abs() < 1e-12);
-        // x0 and x0&x1 differ on x0=1, x1=0: 4 of 16 minterms.
-        let a = mgr.and(x0, x1);
-        assert!((mgr.error_rate(x0, a) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_sat_returns_a_model() {
-        let mut mgr = BddManager::new(3);
-        let x0 = mgr.variable(0);
-        let x2 = mgr.variable(2);
-        let nx2 = mgr.not(x2);
-        let f = mgr.and(x0, nx2);
-        let m = mgr.one_sat(f).unwrap();
-        assert!(mgr.eval(f, m));
-        assert_eq!(mgr.one_sat(mgr.zero()), None);
-        // A complemented root must also yield a genuine model.
-        let nf = mgr.not(f);
-        let m2 = mgr.one_sat(nf).unwrap();
-        assert!(mgr.eval(nf, m2));
     }
 }

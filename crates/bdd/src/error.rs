@@ -11,12 +11,6 @@ pub enum BddError {
         /// Number of variables the manager was created with.
         num_vars: usize,
     },
-    /// A [`crate::Bdd`] handle from a different manager (or a stale handle)
-    /// was passed to an operation.
-    ForeignNode {
-        /// The raw index of the offending handle.
-        index: usize,
-    },
     /// The manager has more variables than a dense truth table supports.
     TooManyVariablesForTable {
         /// Number of variables of the manager.
@@ -31,9 +25,6 @@ impl fmt::Display for BddError {
         match self {
             BddError::VariableOutOfRange { variable, num_vars } => {
                 write!(f, "variable index {variable} out of range for a manager with {num_vars} variables")
-            }
-            BddError::ForeignNode { index } => {
-                write!(f, "BDD handle {index} does not belong to this manager")
             }
             BddError::TooManyVariablesForTable { num_vars, max } => {
                 write!(f, "cannot build a dense truth table for {num_vars} variables (limit {max})")

@@ -21,19 +21,15 @@
 //!   with strict ROBDD reduction invariants (tombstone-free backward-shift
 //!   deletion, load-factor-driven rehash),
 //! * specialized binary `apply` operations (`and`, `xor`, with `or`, `diff`,
-//!   `nand`, `nor`, `xnor`, `implies` as free complement-edge rewrites) over
-//!   a shared lossy operation cache, plus a memoized general
-//!   [`BddManager::ite`] with complement-normalized keys,
-//! * manager-owned, reusable recursion memos (restriction, quantification,
-//!   counting) and an explicit [`BddManager::reserve`] /
+//!   `nor`, `xnor` as free complement-edge rewrites) over a shared lossy
+//!   operation cache, plus a memoized general [`BddManager::ite`] with
+//!   complement-normalized keys,
+//! * a manager-owned, reusable counting memo and an explicit
 //!   [`BddManager::clear`] lifecycle for batch reuse,
 //! * cache, unique-table and reordering statistics ([`CacheStats`]),
-//! * cofactors/restriction, functional composition, existential and universal
-//!   quantification over variable sets,
-//! * model counting ([`BddManager::sat_count`]) and minterm enumeration,
-//! * conversion from/to [`boolfunc::TruthTable`] and [`boolfunc::Cover`],
-//! * Minato–Morreale irredundant SOP extraction ([`BddManager::isop`]),
-//! * Graphviz DOT export (complement edges drawn with dot arrowheads).
+//! * model counting ([`BddManager::sat_count`]),
+//! * conversion from [`boolfunc::TruthTable`] and [`boolfunc::Cover`], and
+//!   back to a truth table.
 //!
 //! ```rust
 //! use bdd::BddManager;
@@ -54,13 +50,9 @@
 #![warn(missing_docs)]
 
 mod count;
-mod dot;
 mod error;
-mod isop;
 mod manager;
-mod memo;
 mod order;
-mod quant;
 
 pub use error::BddError;
 pub use manager::{Bdd, BddManager, CacheStats, SiftConfig};

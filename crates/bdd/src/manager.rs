@@ -3,7 +3,6 @@ use std::fmt;
 use boolfunc::{Cover, Cube, TruthTable};
 
 use crate::error::BddError;
-use crate::memo::Memo;
 
 /// A handle to a node owned by a [`BddManager`].
 ///
@@ -19,8 +18,8 @@ use crate::memo::Memo;
 pub struct Bdd(pub(crate) u32);
 
 impl Bdd {
-    /// Raw index of the node inside its manager (mostly useful for debugging
-    /// and for DOT export). Both polarities of an edge share one node.
+    /// Raw index of the node inside its manager (mostly useful for
+    /// debugging). Both polarities of an edge share one node.
     pub fn index(self) -> usize {
         (self.0 >> 1) as usize
     }
@@ -226,17 +225,6 @@ impl SubTable {
         }
     }
 
-    /// Pre-sizes for `entries` total entries. Returns `true` if it grew.
-    fn reserve(&mut self, entries: usize) -> bool {
-        let wanted = subtable_size_for(entries);
-        if wanted > self.slots.len() {
-            self.grow(wanted);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Ids of every stored node, in slot order (deterministic).
     fn ids(&self) -> Vec<u32> {
         self.slots.iter().filter(|s| s.id != EMPTY).map(|s| s.id).collect()
@@ -290,11 +278,10 @@ impl IteEntry {
 /// Hit/miss/occupancy counters of the manager's hash structures plus the
 /// reordering counters.
 ///
-/// Counters accumulate across operations until [`BddManager::reset_stats`] (or
-/// [`BddManager::clear`], which resets the whole manager). They are cheap to
-/// maintain — plain integer increments on paths that already touch the
-/// corresponding table — and let the engine report cache effectiveness per
-/// sweep.
+/// Counters accumulate across operations until [`BddManager::clear`], which
+/// resets the whole manager. They are cheap to maintain — plain integer
+/// increments on paths that already touch the corresponding table — and let
+/// the engine report cache effectiveness per sweep.
 ///
 /// This struct doubles as the per-worker **local recorder** for the `obs`
 /// registry: hot paths bump these plain fields for free and a merge point
@@ -331,16 +318,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit fraction of the binary apply cache (0 when it was never probed).
-    pub fn apply_hit_rate(&self) -> f64 {
-        let total = self.apply_hits + self.apply_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.apply_hits as f64 / total as f64
-        }
-    }
-
     /// Field-wise accumulation, used by per-worker recorders that sum
     /// per-job deltas before merging them into a registry.
     pub fn accumulate(&mut self, other: &CacheStats) {
@@ -375,34 +352,26 @@ impl CacheStats {
     }
 }
 
-/// Tuning knobs of the dynamic variable ordering (Rudell sifting).
+/// A sifted variable abandons its walk once the total live node count
+/// exceeds this factor times the count at the start of its walk.
+const MAX_GROWTH: f64 = 1.2;
+
+/// After an automatic sift the next trigger is re-armed at
+/// `live_nodes × AUTO_SCALE` (never below [`SiftConfig::auto_threshold`]), so
+/// a workload that keeps growing re-sifts at geometrically spaced sizes
+/// instead of thrashing.
+const AUTO_SCALE: f64 = 2.0;
+
+/// Configuration of the dynamic variable ordering (Rudell sifting).
 ///
-/// The defaults match the engine's symbolic sweep: a variable may grow the
-/// diagram by at most 20% while it explores the levels, a whole pass aborts
-/// if the manager outgrows the node budget, and automatic sifting stays off
-/// until a trigger threshold is configured.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Only the automatic trigger is settable; it stays off by default. The walk
+/// bound (a variable may grow the diagram by at most 20% while it explores
+/// the levels) and the re-arm factor are fixed.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SiftConfig {
-    /// A sifted variable abandons its walk once the total live node count
-    /// exceeds `max_growth` times the count at the start of its walk.
-    pub max_growth: f64,
-    /// A sift pass stops moving further variables once the manager holds more
-    /// than this many live nodes (0 = unbounded).
-    pub node_budget: usize,
     /// [`BddManager::maybe_sift`] fires once the live node count reaches this
     /// threshold (0 disables automatic sifting entirely).
     pub auto_threshold: usize,
-    /// After an automatic sift the next trigger is re-armed at
-    /// `live_nodes × auto_scale` (never below `auto_threshold`), so a
-    /// workload that keeps growing re-sifts at geometrically spaced sizes
-    /// instead of thrashing.
-    pub auto_scale: f64,
-}
-
-impl Default for SiftConfig {
-    fn default() -> Self {
-        SiftConfig { max_growth: 1.2, node_budget: 0, auto_threshold: 0, auto_scale: 2.0 }
-    }
 }
 
 /// A reduced ordered BDD manager with complement edges, per-variable
@@ -436,13 +405,12 @@ impl Default for SiftConfig {
 ///   operands normalized; every other binary operation is a constant-time
 ///   complement-edge rewrite of these two. The general [`BddManager::ite`]
 ///   keeps its own ternary cache with complement-normalized keys.
-/// * **Recursion memos** — `restrict`, quantification and model counting
-///   reuse manager-owned scratch maps instead of allocating a fresh
-///   `HashMap` per call.
-/// * **Lifecycle** — [`BddManager::reserve`] pre-sizes the subtables;
-///   [`BddManager::clear`] resets the manager to the terminal (and the
-///   variable order to the identity), keeping every allocation warm, so a
-///   worker reuses one manager across a whole batch of jobs.
+/// * **Counting memo** — model counting reuses a manager-owned scratch map
+///   instead of allocating a fresh `HashMap` per call.
+/// * **Lifecycle** — [`BddManager::clear`] resets the manager to the
+///   terminal (and the variable order to the identity), keeping every
+///   allocation warm, so a worker reuses one manager across a whole batch of
+///   jobs.
 ///
 /// ```rust
 /// use bdd::BddManager;
@@ -470,11 +438,6 @@ pub struct BddManager {
     level2var: Vec<u32>,
     apply_cache: Vec<ApplyEntry>,
     ite_cache: Vec<IteEntry>,
-    /// Reusable memo of `restrict` (taken out of the manager during the
-    /// recursion, restored afterwards).
-    restrict_memo: Memo,
-    /// Reusable memo of the quantification recursions.
-    pub(crate) quant_memo: Memo,
     /// Reusable memo of model counting (node index → path count).
     pub(crate) count_memo: std::collections::HashMap<u32, u128>,
     /// Current cache generation: operation-cache entries written under an
@@ -494,19 +457,8 @@ impl BddManager {
     ///
     /// Panics if `num_vars > 63` (minterms are addressed with `u64` words).
     pub fn new(num_vars: usize) -> Self {
-        Self::with_capacity(num_vars, 0)
-    }
-
-    /// Creates a manager pre-sized for roughly `expected_nodes` nodes, so a
-    /// caller that knows its workload avoids the early rehash cascade.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vars > 63`.
-    pub fn with_capacity(num_vars: usize, expected_nodes: usize) -> Self {
         assert!(num_vars < 64, "BDD managers address minterms with u64 words");
-        let cache = table_size_for(expected_nodes).clamp(MIN_TABLE, MAX_CACHE);
-        let mut mgr = BddManager {
+        BddManager {
             num_vars,
             nodes: vec![Node { var: TERMINAL_VAR, low: ONE, high: ONE }],
             refs: vec![0],
@@ -514,21 +466,14 @@ impl BddManager {
             subtables: vec![SubTable::new(); num_vars],
             var2level: (0..num_vars as u32).collect(),
             level2var: (0..num_vars as u32).collect(),
-            apply_cache: vec![ApplyEntry::invalid(); cache],
-            ite_cache: vec![IteEntry::invalid(); cache],
-            restrict_memo: Memo::new(),
-            quant_memo: Memo::new(),
+            apply_cache: vec![ApplyEntry::invalid(); MIN_TABLE],
+            ite_cache: vec![IteEntry::invalid(); MIN_TABLE],
             count_memo: std::collections::HashMap::new(),
             cache_gen: 1,
             sift_cfg: SiftConfig::default(),
             next_auto_sift: 0,
             stats: CacheStats::default(),
-        };
-        if expected_nodes > 0 {
-            mgr.reserve(expected_nodes);
-            mgr.stats.unique_rehashes = 0;
         }
-        mgr
     }
 
     /// Number of variables of the manager.
@@ -543,19 +488,9 @@ impl BddManager {
     }
 
     /// Snapshot of the cache/table counters accumulated since the last
-    /// [`BddManager::reset_stats`] (or [`BddManager::clear`]).
+    /// [`BddManager::clear`].
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the cache/table counters to zero without touching any table.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// The current dynamic-reordering configuration.
-    pub fn sift_config(&self) -> SiftConfig {
-        self.sift_cfg
     }
 
     /// Replaces the dynamic-reordering configuration. Setting a non-zero
@@ -565,37 +500,10 @@ impl BddManager {
         self.next_auto_sift = cfg.auto_threshold;
     }
 
-    /// Pre-sizes the node store and unique subtables for `additional` more
-    /// nodes, so a bulk construction performs at most one rehash per level.
-    ///
-    /// Level `l` of an ordered BDD holds at most `2^l` nodes, so each
-    /// subtable is sized for `min(2^level, additional)` entries.
-    pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.refs.reserve(additional);
-        for level in 0..self.num_vars {
-            let cap = if level < usize::BITS as usize - 1 {
-                additional.min(1usize << level)
-            } else {
-                additional
-            };
-            let var = self.level2var[level] as usize;
-            let target = self.subtables[var].len + cap;
-            if self.subtables[var].reserve(target) {
-                self.stats.unique_rehashes += 1;
-            }
-        }
-    }
-
-    /// The variable label currently sitting at `level` (0 = topmost).
-    pub(crate) fn level_var(&self, level: usize) -> usize {
-        self.level2var[level] as usize
-    }
-
     /// Resets the manager to the single terminal node, **invalidating every
     /// previously returned [`Bdd`] handle** and restoring the identity
     /// variable order, while keeping the node store, subtables, caches and
-    /// memos allocated at their current capacity.
+    /// counting memo allocated at their current capacity.
     ///
     /// This is the lifecycle hook the batch engine uses to run one manager
     /// across many jobs: after a `clear` the next job rebuilds its operands
@@ -616,8 +524,6 @@ impl BddManager {
         }
         self.next_auto_sift = self.sift_cfg.auto_threshold;
         self.bump_cache_gen();
-        self.restrict_memo.clear();
-        self.quant_memo.clear();
         self.count_memo.clear();
         self.stats = CacheStats::default();
     }
@@ -658,10 +564,6 @@ impl BddManager {
         self.nodes[f.index()]
     }
 
-    pub(crate) fn is_terminal(&self, f: Bdd) -> bool {
-        f.0 <= 1
-    }
-
     /// Variable *label* of the top node of `f` (independent of the level the
     /// variable currently sits at); terminals report `usize::MAX`.
     pub fn top_var(&self, f: Bdd) -> usize {
@@ -682,15 +584,6 @@ impl BddManager {
         } else {
             self.var2level[v as usize] as usize
         }
-    }
-
-    /// Current level of variable `var` under the dynamic order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`.
-    pub fn var_level(&self, var: usize) -> usize {
-        self.var2level[var] as usize
     }
 
     /// The current variable order: element `level` is the variable label
@@ -750,29 +643,6 @@ impl BddManager {
     pub fn try_variable(&mut self, var: usize) -> Result<Bdd, BddError> {
         self.check_var(var)?;
         Ok(self.mk_node(var as u32, ZERO, ONE))
-    }
-
-    /// The complemented projection function `¬x_var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`.
-    pub fn nvariable(&mut self, var: usize) -> Bdd {
-        let x = self.variable(var);
-        x.complemented()
-    }
-
-    /// Returns the literal `x_var` or `¬x_var` depending on `positive`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`.
-    pub fn literal(&mut self, var: usize, positive: bool) -> Bdd {
-        if positive {
-            self.variable(var)
-        } else {
-            self.nvariable(var)
-        }
     }
 
     // ------------------------------------------------------------------
@@ -846,16 +716,6 @@ impl BddManager {
         let new_len = (len * 2).min(MAX_CACHE);
         self.apply_cache = vec![ApplyEntry::invalid(); new_len];
         self.ite_cache = vec![IteEntry::invalid(); new_len];
-    }
-
-    /// Occupancy of the unique subtables in `[0, 1)` (used by tests to pin
-    /// the rehash policy), aggregated over all levels.
-    pub fn unique_load_factor(&self) -> f64 {
-        let capacity = self.unique_capacity();
-        if capacity == 0 {
-            return 0.0;
-        }
-        (self.num_nodes() - 1) as f64 / capacity as f64
     }
 
     /// Total slot count over all unique subtables.
@@ -959,8 +819,9 @@ impl BddManager {
 
     /// Mark-and-sweep garbage collection from `roots`: frees every node not
     /// reachable from a root and rebuilds the internal reference counts
-    /// exactly. Clears the operation caches and memos (freed indices may be
-    /// reused). Runs as the first phase of every [`BddManager::sift`].
+    /// exactly. Clears the operation caches and the counting memo (freed
+    /// indices may be reused). Runs as the first phase of every
+    /// [`BddManager::sift`].
     fn collect_garbage(&mut self, roots: &[Bdd]) {
         self.stats.gc_runs += 1;
         let mut live = vec![false; self.nodes.len()];
@@ -1002,8 +863,6 @@ impl BddManager {
             }
         }
         self.bump_cache_gen();
-        self.restrict_memo.clear();
-        self.quant_memo.clear();
         self.count_memo.clear();
     }
 
@@ -1014,11 +873,10 @@ impl BddManager {
     /// (handles to collected nodes become invalid — pass every handle you
     /// intend to keep using), then moves each variable — largest subtable
     /// first, ties broken by variable label — through the levels, bounded by
-    /// [`SiftConfig::max_growth`], and parks it at the first position of
-    /// minimum size. The pass aborts early if the diagram outgrows
-    /// [`SiftConfig::node_budget`]. All tie-breaks are fixed and no trigger
-    /// is time-based, so sifting is deterministic: the same diagram and
-    /// configuration always produce the same final order.
+    /// a 20% growth limit per walk, and parks it at the first position of
+    /// minimum size. All tie-breaks are fixed and no trigger is time-based,
+    /// so sifting is deterministic: the same diagram always produces the
+    /// same final order.
     ///
     /// Handles passed as `roots` (and every node reachable from them) remain
     /// valid afterwards: the level exchange rewrites nodes in place.
@@ -1036,9 +894,6 @@ impl BddManager {
             sb.cmp(&sa).then(a.cmp(&b))
         });
         for v in by_size {
-            if self.sift_cfg.node_budget != 0 && self.num_nodes() > self.sift_cfg.node_budget {
-                break;
-            }
             if self.subtables[v as usize].len == 0 {
                 continue;
             }
@@ -1050,8 +905,6 @@ impl BddManager {
         // Freed indices may be reused with new meanings: stale cache entries
         // must not survive the pass.
         self.bump_cache_gen();
-        self.restrict_memo.clear();
-        self.quant_memo.clear();
         self.count_memo.clear();
     }
 
@@ -1061,7 +914,7 @@ impl BddManager {
         let n = self.num_vars;
         let start = self.var2level[var] as usize;
         let mut size = self.num_nodes();
-        let limit = (size as f64 * self.sift_cfg.max_growth).ceil() as usize;
+        let limit = (size as f64 * MAX_GROWTH).ceil() as usize;
         let mut best_size = size;
         let mut best = start;
         let mut cur = start;
@@ -1108,7 +961,7 @@ impl BddManager {
     /// Sifts if the live node count has reached the configured trigger
     /// ([`SiftConfig::auto_threshold`]; 0 keeps this a no-op). Returns
     /// whether a pass ran. After a pass the trigger is re-armed at
-    /// `live × auto_scale`.
+    /// `live × 2`.
     ///
     /// Call this at points where `roots` covers everything still needed —
     /// like [`BddManager::sift`], handles not reachable from `roots` are
@@ -1119,7 +972,7 @@ impl BddManager {
             return false;
         }
         self.sift(roots);
-        let rearmed = (self.num_nodes() as f64 * self.sift_cfg.auto_scale) as usize;
+        let rearmed = (self.num_nodes() as f64 * AUTO_SCALE) as usize;
         self.next_auto_sift = rearmed.max(threshold);
         true
     }
@@ -1280,21 +1133,9 @@ impl BddManager {
         x.complemented()
     }
 
-    /// Implication `f ⇒ g = ¬(f ∧ ¬g)`.
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let d = self.diff(f, g);
-        d.complemented()
-    }
-
     /// Joint denial `¬(f ∨ g)` (NOR).
     pub fn nor(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.and(f.complemented(), g.complemented())
-    }
-
-    /// Alternative denial `¬(f ∧ g)` (NAND).
-    pub fn nand(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let a = self.and(f, g);
-        a.complemented()
     }
 
     /// Returns `true` if `f ⇒ g` is a tautology (i.e. the on-set of `f` is a
@@ -1345,7 +1186,9 @@ impl BddManager {
             return self.diff(h, f);
         }
         if h == ONE || f == h.complemented() {
-            return self.implies(f, g);
+            // f ⇒ g = ¬(f ∧ ¬g)
+            let d = self.diff(f, g);
+            return d.complemented();
         }
 
         // Normalize: regular f (swap the branches), then regular g (complement
@@ -1398,61 +1241,6 @@ impl BddManager {
         } else {
             (n.low, n.high)
         }
-    }
-
-    /// Restriction (cofactor) of `f` with `var` fixed to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`.
-    pub fn restrict(&mut self, f: Bdd, var: usize, value: bool) -> Bdd {
-        self.check_var(var).expect("variable index out of range");
-        // Take the manager-owned memo out for the recursion (it cannot stay
-        // borrowed while `mk_node` needs `&mut self`), then put it back so
-        // its allocation is reused by the next call.
-        let mut memo = std::mem::take(&mut self.restrict_memo);
-        memo.clear();
-        let result = self.restrict_rec(f, var as u32, value, &mut memo);
-        self.restrict_memo = memo;
-        result
-    }
-
-    fn restrict_rec(&mut self, f: Bdd, var: u32, value: bool, memo: &mut Memo) -> Bdd {
-        let n = self.node(f);
-        if n.var == TERMINAL_VAR || self.var2level[n.var as usize] > self.var2level[var as usize] {
-            return f;
-        }
-        // Restriction commutes with complement: memo the regular edge and
-        // re-apply the flag to the result.
-        let flag = f.0 & 1;
-        let reg = f.regular();
-        if let Some(r) = memo.get(reg.0) {
-            return Bdd(r ^ flag);
-        }
-        let result = if n.var == var {
-            if value {
-                n.high
-            } else {
-                n.low
-            }
-        } else {
-            let low = self.restrict_rec(n.low, var, value, memo);
-            let high = self.restrict_rec(n.high, var, value, memo);
-            self.mk_node(n.var, low, high)
-        };
-        memo.insert(reg.0, result.0);
-        Bdd(result.0 ^ flag)
-    }
-
-    /// Functional composition: substitutes `g` for variable `var` inside `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`.
-    pub fn compose(&mut self, f: Bdd, var: usize, g: Bdd) -> Bdd {
-        let f1 = self.restrict(f, var, true);
-        let f0 = self.restrict(f, var, false);
-        self.ite(g, f1, f0)
     }
 
     /// Builds the BDD of a single [`Cube`].
@@ -1566,48 +1354,6 @@ impl BddManager {
         }
         count
     }
-
-    /// The set of variables `f` actually depends on (sorted by label).
-    pub fn support(&self, f: Bdd) -> Vec<usize> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
-        let mut stack = vec![f.index()];
-        while let Some(i) = stack.pop() {
-            if i == 0 || !seen.insert(i) {
-                continue;
-            }
-            let node = self.nodes[i];
-            vars.insert(node.var as usize);
-            stack.push(node.low.index());
-            stack.push(node.high.index());
-        }
-        vars.into_iter().collect()
-    }
-
-    /// Clears the operation caches and recursion memos (the node store is
-    /// kept, so existing handles stay valid). Useful between unrelated
-    /// computations to bound memory growth; to reset the node store as well,
-    /// use [`BddManager::clear`].
-    pub fn clear_caches(&mut self) {
-        self.bump_cache_gen();
-        self.restrict_memo.clear();
-        self.quant_memo.clear();
-        self.count_memo.clear();
-    }
-}
-
-/// Smallest power-of-two slot count that keeps `entries` cache entries below
-/// the 3/4 load factor, floored at the minimum cache size.
-fn table_size_for(entries: usize) -> usize {
-    let needed = entries.saturating_mul(4) / 3 + 1;
-    needed.next_power_of_two().max(MIN_TABLE)
-}
-
-/// Smallest power-of-two slot count that keeps `entries` subtable nodes below
-/// the 3/4 load factor, floored at the minimum subtable size.
-fn subtable_size_for(entries: usize) -> usize {
-    let needed = entries.saturating_mul(4) / 3 + 1;
-    needed.next_power_of_two().max(MIN_SUBTABLE)
 }
 
 impl fmt::Debug for BddManager {
@@ -1631,7 +1377,7 @@ mod tests {
         // Hash-consing: requesting the same variable twice yields the same node.
         assert_eq!(x1, mgr.variable(1));
         // Complement sharing: ¬x1 is the same node, one flag apart.
-        assert_eq!(mgr.nvariable(1), x1.complemented());
+        assert_eq!(mgr.not(x1), x1.complemented());
     }
 
     #[test]
@@ -1651,9 +1397,7 @@ mod tests {
             (mgr.or(x0, x1), |a, b| a || b),
             (mgr.xor(x0, x1), |a, b| a ^ b),
             (mgr.xnor(x0, x1), |a, b| a == b),
-            (mgr.nand(x0, x1), |a, b| !(a && b)),
             (mgr.nor(x0, x1), |a, b| !(a || b)),
-            (mgr.implies(x0, x1), |a, b| !a || b),
             (mgr.diff(x0, x1), |a, b| a && !b),
         ];
         for (bdd, op) in cases {
@@ -1698,39 +1442,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_and_compose() {
-        let mut mgr = BddManager::new(3);
-        let x0 = mgr.variable(0);
-        let x1 = mgr.variable(1);
-        let x2 = mgr.variable(2);
-        let a = mgr.and(x0, x1);
-        let f = mgr.or(a, x2);
-        let f_x2_true = mgr.restrict(f, 2, true);
-        assert!(mgr.is_one(f_x2_true));
-        let f_x2_false = mgr.restrict(f, 2, false);
-        assert_eq!(f_x2_false, mgr.and(x0, x1));
-        // compose x2 := x0 & x1 makes f equal to x0 & x1 ... or itself
-        let g = mgr.and(x0, x1);
-        let composed = mgr.compose(f, 2, g);
-        assert_eq!(composed, g);
-    }
-
-    #[test]
-    fn restrict_commutes_with_complement() {
-        let mut mgr = BddManager::new(5);
-        let tt = TruthTable::from_fn(5, |m| (m.wrapping_mul(0x00C0_FFEE)) % 9 < 4);
-        let f = mgr.from_truth_table(&tt);
-        for var in 0..5 {
-            for value in [false, true] {
-                let a = mgr.restrict(f, var, value);
-                let nf = mgr.not(f);
-                let b = mgr.restrict(nf, var, value);
-                assert_eq!(b, a.complemented(), "restrict(¬f) must be ¬restrict(f)");
-            }
-        }
-    }
-
-    #[test]
     fn cube_and_cover_conversion() {
         let mut mgr = BddManager::new(4);
         let cover = Cover::from_strs(4, &["11-1", "-011"]).unwrap();
@@ -1751,14 +1462,13 @@ mod tests {
     }
 
     #[test]
-    fn node_count_and_support() {
+    fn node_count_of_a_conjunction() {
         let mut mgr = BddManager::new(4);
         let x0 = mgr.variable(0);
         let x3 = mgr.variable(3);
         let f = mgr.and(x0, x3);
         assert_eq!(mgr.node_count(f), 2);
-        assert_eq!(mgr.support(f), vec![0, 3]);
-        assert_eq!(mgr.support(mgr.one()), Vec::<usize>::new());
+        assert_eq!(mgr.node_count(mgr.one()), 0);
     }
 
     #[test]
@@ -1812,7 +1522,8 @@ mod tests {
         let tt = TruthTable::from_fn(16, |m| avalanche(m ^ 0xD1CE) & 1 == 1);
         let f = mgr.from_truth_table(&tt);
         assert!(mgr.stats().unique_rehashes > 0, "workload too small to exercise rehash");
-        assert!(mgr.unique_load_factor() < 0.75, "rehash policy failed to keep the load down");
+        let load = (mgr.num_nodes() - 1) as f64 / mgr.unique_capacity() as f64;
+        assert!(load < 0.75, "rehash policy failed to keep the load down");
         // Hash-consing still canonical after rehashes: rebuilding the same
         // function yields the identical root handle.
         assert_eq!(mgr.from_truth_table(&tt), f);
@@ -1842,11 +1553,11 @@ mod tests {
         let tt_b = TruthTable::from_fn(8, |m| m % 5 == 0);
         let a = mgr.from_truth_table(&tt_a);
         let b = mgr.from_truth_table(&tt_b);
-        mgr.reset_stats();
+        let before = mgr.stats();
 
         let r1 = mgr.and(a, b);
         let after_first = mgr.stats();
-        assert!(after_first.apply_misses > 0, "first AND must recurse");
+        assert!(after_first.apply_misses > before.apply_misses, "first AND must recurse");
 
         // The identical operation again: served by the cache, no new misses.
         let r2 = mgr.and(a, b);
@@ -1860,7 +1571,6 @@ mod tests {
         let after_swapped = mgr.stats();
         assert_eq!(r1, r3);
         assert_eq!(after_swapped.apply_misses, after_second.apply_misses);
-        assert!(after_swapped.apply_hit_rate() > 0.0);
 
         // De Morgan sharing: or(¬a, ¬b) is the complement of the cached AND.
         let na = mgr.not(a);
@@ -1909,27 +1619,10 @@ mod tests {
     }
 
     #[test]
-    fn reserve_avoids_rehashes() {
-        let tt = TruthTable::from_fn(14, |m| avalanche(m ^ 0xBEEF) & 1 == 1);
-        // Without a reserve, a random 14-variable function overflows the
-        // minimum subtables and rehashes at least once.
-        let mut cold = BddManager::new(14);
-        let _ = cold.from_truth_table(&tt);
-        assert!(cold.stats().unique_rehashes > 0);
-        // With the reserve, the same build never rehashes.
-        let mut warm = BddManager::new(14);
-        warm.reserve(cold.num_nodes());
-        let baseline = warm.stats().unique_rehashes;
-        let _ = warm.from_truth_table(&tt);
-        assert_eq!(warm.stats().unique_rehashes, baseline, "reserve should pre-size the tables");
-    }
-
-    #[test]
     fn set_order_builds_under_the_seeded_order() {
         let mut mgr = BddManager::new(4);
         mgr.set_order(&[3, 1, 0, 2]);
         assert_eq!(mgr.var_order(), vec![3, 1, 0, 2]);
-        assert_eq!(mgr.var_level(3), 0);
         // Parity depends on every variable, so the root sits at level 0.
         let tt = TruthTable::from_fn(4, |m| m.count_ones() % 2 == 1);
         let f = mgr.from_truth_table(&tt);
@@ -2012,10 +1705,7 @@ mod tests {
         let f = mgr.from_truth_table(&tt);
         // Disabled by default.
         assert!(!mgr.maybe_sift(&[f]));
-        mgr.set_sift_config(SiftConfig {
-            auto_threshold: mgr.num_nodes() / 2,
-            ..SiftConfig::default()
-        });
+        mgr.set_sift_config(SiftConfig { auto_threshold: mgr.num_nodes() / 2 });
         assert!(mgr.maybe_sift(&[f]), "threshold below the live count must fire");
         assert_eq!(mgr.to_truth_table(f).unwrap(), tt);
         // Re-armed above the current size: an immediate second call is a no-op.

@@ -120,7 +120,7 @@ fn auto_sift_trigger_is_deterministic_and_semantics_preserving() {
     let mut reference: Option<(Vec<usize>, usize)> = None;
     for _run in 0..2 {
         let mut mgr = BddManager::new(num_vars);
-        mgr.set_sift_config(SiftConfig { auto_threshold: 64, ..SiftConfig::default() });
+        mgr.set_sift_config(SiftConfig { auto_threshold: 64 });
         let f = mgr.from_truth_table(&tt);
         // The trigger only fires where the caller can name its roots.
         let fired = mgr.maybe_sift(&[f]);

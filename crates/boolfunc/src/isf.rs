@@ -148,11 +148,6 @@ impl Isf {
         self.dc.is_zero()
     }
 
-    /// Fraction of the minterm space left unspecified.
-    pub fn dc_fraction(&self) -> f64 {
-        self.dc.density()
-    }
-
     /// Returns `true` if the completely specified function `g` is a
     /// *completion* (cover) of this ISF: `on ⊆ g ⊆ on ∪ dc`.
     pub fn is_completion(&self, g: &TruthTable) -> bool {

@@ -411,12 +411,6 @@ impl TruthTable {
             .collect();
         Cover::from_cubes(self.num_vars, cubes)
     }
-
-    /// Evaluates the fraction of minterms on which the function is 1
-    /// (the *density* of the on-set).
-    pub fn density(&self) -> f64 {
-        self.count_ones() as f64 / self.num_minterms() as f64
-    }
 }
 
 /// Iterator over the on-set minterms of a [`TruthTable`], produced by

@@ -8,7 +8,7 @@
 //! It rarely saves work either. The quotient is a closed-form set
 //! expression (0.4–0.7 µs at 9–12 inputs in a release build), while a
 //! lookup in the NPN-keyed `service::NpnCache` first canonicalizes `f`
-//! (about 0.5 ms at 9 inputs, 3.5 ms at 12) and hits on few of the
+//! (0.03–0.16 ms at 9–12 inputs) and hits on few of the
 //! subproblems any measured workload produces (79 of 633 lookups when
 //! synthesizing `Suite::all()`). The batch sweeps and the
 //! service therefore recompute every quotient below the request; the hook

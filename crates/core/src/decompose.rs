@@ -152,18 +152,6 @@ impl DecompositionPlan {
         }
     }
 
-    /// Replaces the 2-SPP synthesizer.
-    pub fn with_synthesizer(mut self, synthesizer: SppSynthesizer) -> Self {
-        self.synthesizer = synthesizer;
-        self
-    }
-
-    /// Replaces the area model.
-    pub fn with_area_model(mut self, area_model: AreaModel) -> Self {
-        self.area_model = area_model;
-        self
-    }
-
     /// The operator of this plan.
     pub fn op(&self) -> BinaryOp {
         self.op

@@ -124,9 +124,8 @@ pub struct EngineConfig {
 /// Dynamic-variable-ordering policy of the BDD backend
 /// ([`EngineConfig::reorder`]). Every cover-described job's manager is
 /// seeded with a FORCE static order over its on/dc/noise covers before any
-/// node is built, and sifting runs under the [`bdd::SiftConfig`] defaults
-/// (20% growth headroom, no pass budget); only the trigger varies between
-/// callers.
+/// node is built, and sifting runs with the manager's fixed 20% growth
+/// headroom; only the trigger ([`bdd::SiftConfig`]) varies between callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReorderConfig {
     /// Live-node threshold arming the automatic sift trigger
@@ -736,10 +735,7 @@ fn run_job_bdd(
     let clock = buffers.rec.as_mut().is_some_and(EngineRecorder::clock_phases);
     let mgr = buffers.manager_for(num_vars);
     if let Some(rc) = &config.reorder {
-        mgr.set_sift_config(SiftConfig {
-            auto_threshold: rc.sift_threshold,
-            ..SiftConfig::default()
-        });
+        mgr.set_sift_config(SiftConfig { auto_threshold: rc.sift_threshold });
     }
     let (f_on, f_dc, noise) = if spec.symbolic {
         let inst = &suite.symbolic_instances()[spec.instance];

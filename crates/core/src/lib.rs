@@ -39,7 +39,7 @@
 //!   full-quotient results (sound because the full quotient is unique) for
 //!   the recursive synthesizer. Neither sweep kind nor the service plugs one
 //!   in: a Table II quotient takes under a microsecond at 9–12 inputs,
-//!   while an NPN-keyed lookup first pays 0.5–3.5 ms of canonicalization and
+//!   while an NPN-keyed lookup first pays 0.03–0.16 ms of canonicalization and
 //!   almost never hits. The NPN-canonical implementation is
 //!   `service::NpnCache`;
 //! * [`recursive`] — the recursive synthesis engine: cost-driven multi-level

@@ -289,18 +289,6 @@ impl RecursiveSynthesizer {
         self
     }
 
-    /// Replaces the 2-SPP synthesizer.
-    pub fn with_synthesizer(mut self, synthesizer: SppSynthesizer) -> Self {
-        self.synthesizer = synthesizer;
-        self
-    }
-
-    /// Replaces the area model.
-    pub fn with_area_model(mut self, area_model: AreaModel) -> Self {
-        self.area_model = area_model;
-        self
-    }
-
     /// The configuration of this synthesizer.
     pub fn config(&self) -> &RecursiveConfig {
         &self.config

@@ -37,11 +37,6 @@ impl Model {
     pub fn value(&self, lit: Lit) -> bool {
         self.values[lit.var().index()] == lit.is_positive()
     }
-
-    /// The truth value of `var` under this model.
-    pub fn var_value(&self, var: Var) -> bool {
-        self.values[var.index()]
-    }
 }
 
 /// Search statistics, exposed so tests can assert run-to-run determinism.

@@ -10,9 +10,16 @@
 //! niceties nobody writing bench reports needs: numbers are `f64`
 //! (integers round-trip exactly up to 2^53), objects preserve insertion
 //! order so serialization is deterministic, and parse errors carry a byte
-//! offset.
+//! offset. Arrays and objects nest at most 128 levels deep: the
+//! parser recurses once per level, and it runs on the server's connection
+//! threads, so an unbounded `[[[…` line would overflow their stacks.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Value::parse`] accepts. Every document
+/// this workspace writes (requests, replies, metrics snapshots, `BENCH_*`
+/// artifacts) nests at most 5 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,9 +93,10 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// also when arrays and objects nest deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -119,6 +127,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -160,8 +170,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -490,5 +507,21 @@ mod tests {
         }
         let err = Value::parse("[1, \u{7}]").unwrap_err();
         assert!(err.offset > 0 && err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Value::parse(&nested(MAX_DEPTH, open, close)).is_ok());
+            let err = Value::parse(&nested(MAX_DEPTH + 1, open, close)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "offset of the first excess opener");
+        }
+        // Mixed nesting counts both kinds against one cap.
+        let mixed = format!("{}0{}", "[{\"a\":".repeat(65), "}]".repeat(65));
+        assert!(Value::parse(&mixed).is_err());
     }
 }

@@ -100,11 +100,6 @@ impl NpnTransform {
         self.perm.len()
     }
 
-    /// `true` if the transform complements the output.
-    pub fn output_negated(&self) -> bool {
-        self.output_neg
-    }
-
     /// The inverse transform: `t.inverse().apply_isf(&t.apply_isf(f)) == f`.
     pub fn inverse(&self) -> NpnTransform {
         let n = self.num_vars();

@@ -1,9 +1,9 @@
 //! The full error taxonomy, end to end over real sockets: overload
 //! shedding (with inline cache hits), deadlines, injected panics, slow
-//! clients, over-long lines, the connection cap and a draining shutdown —
-//! each asserting the exact `error` string and that the connection (or at
-//! least the server) survives — plus the configuration `Server::bind`
-//! refuses.
+//! clients, over-long and deeply nested lines, the connection cap and a
+//! draining shutdown — each asserting the exact `error` string and that the
+//! connection (or at least the server) survives — plus the configuration
+//! `Server::bind` refuses.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -274,6 +274,28 @@ fn overlong_lines_are_rejected_with_bounded_memory() {
     let mut client = Client::connect(addr);
     let stats = client.roundtrip(r#"{"verb":"stats"}"#);
     assert_eq!(u64_field(&stats, "line_overflows"), 1);
+
+    client.roundtrip(r#"{"verb":"shutdown"}"#);
+    drop(client);
+    handle.join().expect("server thread");
+}
+
+/// A line of 64 KiB of nested brackets (well under `max_line_bytes`) is a
+/// protocol error, not a stack overflow: the parser caps nesting, and the
+/// same connection keeps being served.
+#[test]
+fn deeply_nested_json_is_a_protocol_error() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(addr);
+
+    let response = client.roundtrip(&"[".repeat(64 * 1024));
+    assert!(!ok_field(&response));
+    assert!(str_field(&response, "error").starts_with("bad JSON"), "{response}");
+
+    let stats = client.roundtrip(r#"{"verb":"stats"}"#);
+    assert!(ok_field(&stats), "the connection must survive: {stats}");
+    assert_eq!(u64_field(&stats, "errors"), 1, "{stats}");
+    assert_eq!(u64_field(&stats, "panics"), 0, "{stats}");
 
     client.roundtrip(r#"{"verb":"shutdown"}"#);
     drop(client);

@@ -16,27 +16,15 @@ use crate::form::SppForm;
 use crate::pseudoproduct::Pseudoproduct;
 use crate::xor_factor::XorFactor;
 
+/// Upper bound on merge rounds (each round scans all pairs once).
+const MAX_MERGE_ROUNDS: usize = 16;
+
 /// Options controlling 2-SPP synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SynthesisOptions {
     /// Options passed to the underlying espresso run that produces the seed
     /// SOP cover.
     pub espresso: EspressoOptions,
-    /// Whether to apply the two-literal XOR merging rule; disabling it makes
-    /// the synthesizer degrade to plain SOP (useful as an ablation baseline).
-    pub xor_merging: bool,
-    /// Upper bound on merge rounds (each round scans all pairs once).
-    pub max_merge_rounds: usize,
-}
-
-impl Default for SynthesisOptions {
-    fn default() -> Self {
-        SynthesisOptions {
-            espresso: EspressoOptions::default(),
-            xor_merging: true,
-            max_merge_rounds: 16,
-        }
-    }
 }
 
 /// Heuristic synthesizer producing [`SppForm`]s from incompletely specified
@@ -67,11 +55,6 @@ impl SppSynthesizer {
         SppSynthesizer { options: SynthesisOptions::default() }
     }
 
-    /// Creates a synthesizer with explicit options.
-    pub fn with_options(options: SynthesisOptions) -> Self {
-        SppSynthesizer { options }
-    }
-
     /// The options used by this synthesizer.
     pub fn options(&self) -> &SynthesisOptions {
         &self.options
@@ -86,10 +69,7 @@ impl SppSynthesizer {
     /// Runs only the pseudoproduct-merging phase on an existing SOP cover.
     pub fn improve_cover(&self, cover: &Cover) -> SppForm {
         let mut form = SppForm::from_cover(cover);
-        if !self.options.xor_merging {
-            return form;
-        }
-        for _ in 0..self.options.max_merge_rounds {
+        for _ in 0..MAX_MERGE_ROUNDS {
             if !self.merge_round(&mut form) {
                 break;
             }
@@ -285,16 +265,6 @@ mod tests {
         assert!(form.matches(&f));
         assert_eq!(form.num_pseudoproducts(), 1);
         assert_eq!(form.literal_count(), 2);
-    }
-
-    #[test]
-    fn disabling_xor_merging_gives_plain_sop() {
-        let f = Isf::from_cover_str(2, &["10", "01"], &[]).unwrap();
-        let opts = SynthesisOptions { xor_merging: false, ..SynthesisOptions::default() };
-        let form = SppSynthesizer::with_options(opts).synthesize(&f);
-        assert!(form.matches(&f));
-        assert_eq!(form.num_pseudoproducts(), 2);
-        assert_eq!(form.literal_count(), 4);
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! `SIS + mcnc.genlib` step of the paper's evaluation (Tables III and IV
 //! report gate areas after mapping with `mcnc.genlib`).
 //!
-//! The flow mirrors the classical tree-covering mapper:
+//! The flow:
 //!
 //! 1. a [`Network`] of AND/OR/XOR/NOT nodes is built from an SOP cover, a
 //!    2-SPP form, or a bi-decomposition `g op h`;
-//! 2. the network is decomposed into an INV/NAND2 *subject graph*
-//!    ([`decompose`]);
-//! 3. a dynamic-programming tree-covering pass ([`Mapper`]) covers the subject
-//!    graph with gates from a [`GateLibrary`] (an embedded `mcnc.genlib`-like
-//!    set) and reports the total mapped area.
+//! 2. a local-covering pass ([`Mapper`]) covers every logic node with one
+//!    gate from a [`GateLibrary`] (an embedded `mcnc.genlib`-like set),
+//!    merging an inverter into the AND/OR/XOR it negates (NAND2/NOR2/XNOR2),
+//!    and reports the total mapped area.
 //!
 //! Absolute areas are not comparable with the paper's SIS numbers (different
 //! library scaling), but ratios — which is what the paper's "gain" columns
@@ -32,18 +31,7 @@
 //! # }
 //! ```
 //!
-//! ## Mapping flow details
-//!
-//! Decomposition ([`decompose`]) rewrites every node into inverters and
-//! two-input NANDs — wide ANDs/ORs become balanced NAND trees, XORs become
-//! the standard four-NAND pattern — so the subject graph is normalized
-//! independently of how the [`Network`] was built. The mapper then walks the
-//! subject graph bottom-up; at each node it tries every library gate whose
-//! pattern tree matches there (patterns up to AOI/OAI size are enumerated
-//! from the gate's NAND/INV decomposition) and keeps the cheapest cover of
-//! the subtree. On trees this dynamic program is optimal for the given
-//! library; fanout nodes are handled by the usual tree-partitioning
-//! heuristic, so multi-output networks are mapped tree by tree.
+//! ## Area model
 //!
 //! [`AreaModel`] packages the three mappings the paper's tables need —
 //! `cover_area` for SOP forms, `spp_area` for 2-SPP forms (XOR factors map
@@ -70,7 +58,6 @@
 #![warn(missing_docs)]
 
 mod area;
-pub mod decompose;
 mod gate;
 mod library;
 mod mapper;

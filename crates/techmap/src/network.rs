@@ -396,8 +396,7 @@ impl Network {
     }
 
     /// Renders the sub-network reachable from the declared outputs as a
-    /// Graphviz DOT digraph, mirroring `bdd::BddManager::to_dot`: inputs and
-    /// constants are boxes, gates are circles labeled with their operator,
+    /// Graphviz DOT digraph: inputs and constants are boxes, gates are circles labeled with their operator,
     /// and each output `k` gets a plaintext `y<k>` marker pointing at its
     /// root. Unreachable nodes (dead candidates left behind by structural
     /// hashing) are omitted.

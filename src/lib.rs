@@ -8,13 +8,13 @@
 //!
 //! * [`boolfunc`] — cubes, covers, dense truth tables, incompletely specified
 //!   functions and espresso-style PLA I/O;
-//! * [`bdd`] — a reduced ordered BDD package (unique table, ITE, quantification,
-//!   ISOP extraction);
+//! * [`bdd`] — a reduced ordered BDD package (complement edges, unique
+//!   subtables, ITE, dynamic variable ordering, model counting);
 //! * [`sop`] — an espresso-style two-level minimizer;
 //! * [`spp`] — 2-SPP (three-level XOR-AND-OR) forms, their heuristic minimization
 //!   and the 0→1 approximation by pseudoproduct expansion;
-//! * [`techmap`] — a gate library and tree-covering technology mapper used for the
-//!   area numbers of the evaluation;
+//! * [`techmap`] — a gate library and local-covering technology mapper used for
+//!   the area numbers of the evaluation;
 //! * [`obs`] — the zero-dependency observability runtime (registry of atomic
 //!   counters/gauges, deterministic log-bucketed latency histograms, span
 //!   timers) threaded through the engine, BDD managers, cache and server;

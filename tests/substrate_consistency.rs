@@ -1,6 +1,6 @@
 //! Integration tests pinning the substrates against each other: the espresso
-//! minimizer, the BDD ISOP extraction, the 2-SPP synthesizer and the area
-//! model must all agree on what function they are realizing.
+//! minimizer, the BDD package, the 2-SPP synthesizer and the area model must
+//! all agree on what function they are realizing.
 
 use bidecomposition::prelude::*;
 use boolfunc::TruthTable;
@@ -16,7 +16,7 @@ fn pseudo_random_isf(num_vars: usize, seed: u64) -> Isf {
 }
 
 #[test]
-fn espresso_bdd_isop_and_spp_realize_the_same_function() {
+fn espresso_bdd_and_spp_realize_the_same_function() {
     for seed in 0..10u64 {
         let f = pseudo_random_isf(6, seed);
 
@@ -24,14 +24,16 @@ fn espresso_bdd_isop_and_spp_realize_the_same_function() {
         let sop = sop::espresso(&f);
         assert!(sop::espresso::verify_cover(&f, &sop), "seed {seed}: espresso cover invalid");
 
-        // BDD ISOP inside the same interval.
+        // The same cover as a BDD lies inside the interval [on, on ∪ dc],
+        // built with the operations the symbolic sweep runs.
         let mut mgr = BddManager::new(6);
+        let cover = mgr.cover(&sop);
         let lower = mgr.from_truth_table(f.on());
         let upper = mgr.from_truth_table(&f.max_completion());
-        let (isop, _) = mgr.isop(lower, upper);
-        let isop_tt = isop.to_truth_table();
-        assert!(f.on().is_subset_of(&isop_tt), "seed {seed}: ISOP misses on-set");
-        assert!(isop_tt.is_subset_of(&f.max_completion()), "seed {seed}: ISOP hits off-set");
+        assert!(mgr.is_subset(lower, cover), "seed {seed}: BDD cover misses on-set");
+        assert!(mgr.is_subset(cover, upper), "seed {seed}: BDD cover hits off-set");
+        let cover_tt = mgr.to_truth_table(cover).expect("6 variables fit a table");
+        assert_eq!(cover_tt, sop.to_truth_table(), "seed {seed}: BDD and cover disagree");
 
         // 2-SPP form.
         let form = SppSynthesizer::new().synthesize(&f);
