@@ -545,16 +545,16 @@ fn parse_args() -> Args {
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
             "--suite" => args.suite = argv.value(&flag),
-            "--threads" => args.config.threads = argv.number(&flag) as usize,
+            "--threads" => args.config.threads = argv.number(&flag),
             "--seed" => args.config.seed = argv.number(&flag),
-            "--max-inputs" => args.config.max_inputs = argv.number(&flag) as usize,
-            "--max-outputs" => args.config.max_outputs = argv.number(&flag) as usize,
-            "--repeat" => args.repeat = argv.number(&flag) as usize,
+            "--max-inputs" => args.config.max_inputs = argv.number(&flag),
+            "--max-outputs" => args.config.max_outputs = argv.number(&flag),
+            "--repeat" => args.repeat = argv.number(&flag),
             "--json" => args.json_path = argv.value(&flag),
             "--reorder" => args.config.reorder = Some(bench_reorder()),
             "--no-reorder" => args.config.reorder = None,
             "--sift-threshold" => {
-                let threshold = argv.number(&flag) as usize;
+                let threshold = argv.number(&flag);
                 let reorder = args.config.reorder.get_or_insert_with(bench_reorder);
                 reorder.sift_threshold = threshold;
             }

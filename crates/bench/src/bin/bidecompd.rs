@@ -52,19 +52,19 @@ fn parse_args() -> Args {
     let mut argv = ArgCursor::from_env("bidecompd");
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--port" => args.port = argv.number(&flag) as u16,
+            "--port" => args.port = argv.number(&flag),
             "--port-file" => args.port_file = Some(argv.value(&flag)),
             "--metrics-dump" => args.metrics_dump = Some(argv.value(&flag)),
-            "--workers" => args.config.workers = argv.number(&flag) as usize,
-            "--cache-capacity" => args.config.cache_capacity = argv.number(&flag) as usize,
-            "--shards" => args.config.cache_shards = argv.number(&flag) as usize,
+            "--workers" => args.config.workers = argv.number(&flag),
+            "--cache-capacity" => args.config.cache_capacity = argv.number(&flag),
+            "--shards" => args.config.cache_shards = argv.number(&flag),
             "--no-cache" => args.config.cache_capacity = 0,
-            "--max-vars" => args.config.max_vars = argv.number(&flag) as usize,
-            "--depth" => args.config.recursive.max_depth = argv.number(&flag) as usize,
-            "--min-gain" => args.config.recursive.min_gain = argv.float(&flag),
-            "--max-queue" => args.config.max_queue = argv.number(&flag) as usize,
-            "--max-connections" => args.config.max_connections = argv.number(&flag) as usize,
-            "--max-line-bytes" => args.config.max_line_bytes = argv.number(&flag) as usize,
+            "--max-vars" => args.config.max_vars = argv.number(&flag),
+            "--depth" => args.config.recursive.max_depth = argv.number(&flag),
+            "--min-gain" => args.config.recursive.min_gain = argv.number(&flag),
+            "--max-queue" => args.config.max_queue = argv.number(&flag),
+            "--max-connections" => args.config.max_connections = argv.number(&flag),
+            "--max-line-bytes" => args.config.max_line_bytes = argv.number(&flag),
             "--read-timeout-ms" => args.config.read_timeout_ms = argv.number(&flag),
             "--write-timeout-ms" => args.config.write_timeout_ms = argv.number(&flag),
             "--drain-deadline-ms" => args.config.drain_deadline_ms = argv.number(&flag),
@@ -72,14 +72,10 @@ fn parse_args() -> Args {
                 let plan = faults(&mut args.config);
                 plan.seed = argv.number(&flag);
             }
-            "--fault-panics" => {
-                faults(&mut args.config).panic_per_mille = argv.number(&flag) as u32
-            }
-            "--fault-delays" => {
-                faults(&mut args.config).delay_per_mille = argv.number(&flag) as u32
-            }
+            "--fault-panics" => faults(&mut args.config).panic_per_mille = argv.number(&flag),
+            "--fault-delays" => faults(&mut args.config).delay_per_mille = argv.number(&flag),
             "--fault-delay-ms" => faults(&mut args.config).delay_ms = argv.number(&flag),
-            "--fault-drops" => faults(&mut args.config).drop_per_mille = argv.number(&flag) as u32,
+            "--fault-drops" => faults(&mut args.config).drop_per_mille = argv.number(&flag),
             other => argv.fail(format_args!("unknown argument {other}")),
         }
     }

@@ -56,10 +56,10 @@ fn parse_args() -> Args {
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
             "--suite" => args.suite = argv.value(&flag),
-            "--threads" => args.config.threads = argv.number(&flag) as usize,
+            "--threads" => args.config.threads = argv.number(&flag),
             "--seed" => args.config.seed = argv.number(&flag),
-            "--reps" => args.reps = argv.number(&flag) as usize,
-            "--max-ratio" => args.max_ratio = argv.float(&flag),
+            "--reps" => args.reps = argv.number(&flag),
+            "--max-ratio" => args.max_ratio = argv.number(&flag),
             "--json" => args.json_path = argv.value(&flag),
             "--write-baseline" => args.write_baseline = true,
             other => argv.fail(format_args!("unknown argument {other}")),

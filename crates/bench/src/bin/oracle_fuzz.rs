@@ -63,10 +63,10 @@ fn parse_args() -> Args {
     let mut argv = ArgCursor::from_env("oracle_fuzz");
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--cases" => args.cases = argv.number(&flag) as usize,
+            "--cases" => args.cases = argv.number(&flag),
             "--seed" => args.seed = argv.number(&flag),
-            "--min-vars" => args.min_vars = argv.number(&flag) as usize,
-            "--max-vars" => args.max_vars = argv.number(&flag) as usize,
+            "--min-vars" => args.min_vars = argv.number(&flag),
+            "--max-vars" => args.max_vars = argv.number(&flag),
             "--json" => args.json_path = argv.value(&flag),
             "--write-baseline" => args.write_baseline = true,
             other => argv.fail(format_args!("unknown argument {other}")),

@@ -47,10 +47,13 @@
 //!   and `cache.hits` equals the cached arm's client-side hits), and the
 //!   server-side p99 sits under a wide
 //!   `baseline × (1 + 4 × tolerance)` ceiling (absolute latencies differ
-//!   across hosts far more than same-process ratios do). Client-side
-//!   latencies are reported, never compared; so is the queue-free cost
-//!   split (server compute per synthesize hit, per synthesizer run and per
-//!   canonicalization, from the `engine.*_nanos` counters).
+//!   across hosts far more than same-process ratios do). The queue-free
+//!   hit-over-miss compute ratio (server compute per synthesizer run over
+//!   per synthesize hit, from the `engine.*_nanos` counters, each side's
+//!   ratio from its own scrape) must stay above the equally wide
+//!   `baseline / (1 + 4 × tolerance)` floor, and the cached arm must serve
+//!   at least one synthesize hit. Client-side latencies and the
+//!   per-canonicalization cost are reported, never compared.
 //! * `bidecomp-service-chaos-v1` — the chaos arm (`service_loadgen
 //!   --chaos`): the workload shape and fault rates are exact, and the run
 //!   must report **zero lost**, **zero corrupted**, full completion
@@ -124,8 +127,8 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--baseline" => args.baseline = argv.value(&flag),
             "--current" => args.current = argv.value(&flag),
-            "--tolerance" => args.tolerance = argv.float(&flag),
-            "--node-tolerance" => args.node_tolerance = argv.float(&flag),
+            "--tolerance" => args.tolerance = argv.number(&flag),
+            "--node-tolerance" => args.node_tolerance = argv.number(&flag),
             other => argv.fail(format_args!("unknown argument {other}")),
         }
     }
@@ -569,15 +572,57 @@ fn run_service(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Str
         let cur_scrape = current
             .get("scrape")
             .ok_or_else(|| format!("{}: missing scrape block", args.current))?;
-        gate_scrape(args, current, base_scrape, cur_scrape, &mut failures)?;
+        gate_scrape(args, baseline, current, base_scrape, cur_scrape, &mut failures)?;
     }
 
     Ok(failures)
 }
 
+/// A counter of a scrape block (`service_loadgen --scrape`).
+fn counter(scrape: &Value, name: &str, path: &str) -> Result<u64, String> {
+    scrape
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("{path}: scrape block lacks the counter '{name}'"))
+}
+
+/// A service run's server-side synthesize compute: the mean per cache hit
+/// (`engine.hit_nanos`) and per synthesizer run (`engine.synthesis_nanos`
+/// over the cold arm's bypasses plus the cached arm's misses).
+struct SynthCompute {
+    hits: u64,
+    runs: u64,
+    hit_ms: f64,
+    miss_ms: f64,
+}
+
+impl SynthCompute {
+    fn of(doc: &Value, scrape: &Value, path: &str) -> Result<SynthCompute, String> {
+        let cached_arm = doc.get("cached").ok_or_else(|| format!("{path}: missing cached arm"))?;
+        let hits = u64_field(cached_arm, "synthesize_hits", path)?;
+        let runs = (2 * u64_field(doc, "synthesize", path)?).saturating_sub(hits);
+        let mean_ms = |name: &str, n: u64| -> Result<f64, String> {
+            Ok(counter(scrape, name, path)? as f64 / n.max(1) as f64 / 1e6)
+        };
+        Ok(SynthCompute {
+            hits,
+            runs,
+            hit_ms: mean_ms("engine.hit_nanos", hits)?,
+            miss_ms: mean_ms("engine.synthesis_nanos", runs)?,
+        })
+    }
+
+    /// Compute per synthesizer run over compute per hit.
+    fn ratio(&self) -> f64 {
+        self.miss_ms / self.hit_ms.max(1e-9)
+    }
+}
+
 /// The scrape-block checks of the service gate (see [`run_service`]).
 fn gate_scrape(
     args: &Args,
+    baseline: &Value,
     current: &Value,
     base_scrape: &Value,
     cur_scrape: &Value,
@@ -610,13 +655,6 @@ fn gate_scrape(
             }
         }
     }
-    let counter = |scrape: &Value, name: &str, path: &str| -> Result<u64, String> {
-        scrape
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{path}: scrape block lacks the counter '{name}'"))
-    };
     let panics = counter(cur_scrape, "server.panics", &args.current)?;
     if panics != 0 {
         failures.push(format!("server counted {panics} panic(s) during a happy-path run"));
@@ -643,23 +681,46 @@ fn gate_scrape(
         ));
     }
 
-    // Queue-free cost split (informational): server-side compute per
-    // synthesize hit against per synthesizer run (the cold arm's bypasses
-    // plus the cached arm's misses), and per canonicalization.
-    let synth_hits = u64_field(cached_arm, "synthesize_hits", &args.current)?;
-    let runs = (2 * u64_field(current, "synthesize", &args.current)?).saturating_sub(synth_hits);
-    let mean_ms = |name: &str, n: u64| -> Result<f64, String> {
-        Ok(counter(cur_scrape, name, &args.current)? as f64 / n.max(1) as f64 / 1e6)
-    };
-    let (hit_ms, miss_ms) =
-        (mean_ms("engine.hit_nanos", synth_hits)?, mean_ms("engine.synthesis_nanos", runs)?);
+    // Hit-over-miss server compute (gated): the queue-free cost of a
+    // synthesizer run over that of a synthesize hit, each side's ratio from
+    // its own scrape. Unlike the client rps ratio it holds no queue wait, so
+    // it measures what the cache saves per request. A hit is ~20 µs of
+    // allocation-heavy work that a single preemption can double, and the
+    // ratio moves with the host's memory-vs-compute balance, so the band is
+    // the wide cross-host one of the latency ceiling below: the floor is
+    // `baseline / (1 + 4 × tolerance)`. A hit that re-synthesizes reads ~1x.
+    let base = SynthCompute::of(baseline, base_scrape, &args.baseline)?;
+    let cur = SynthCompute::of(current, cur_scrape, &args.current)?;
+    if base.hits == 0 {
+        return Err(format!("{}: the baseline's cached arm has no synthesize hit", args.baseline));
+    }
+    let floor = (base.ratio() / (1.0 + 4.0 * args.tolerance)).max(1.0);
     println!(
-        "server-side synthesize compute (no queue wait; informational): hit {hit_ms:.3} ms \
-         x {synth_hits}, miss {miss_ms:.3} ms x {runs} ({:.1}x); canonicalize {:.3} ms \
-         x {lookups}",
-        miss_ms / hit_ms.max(1e-9),
-        mean_ms("engine.canonicalize_nanos", lookups)?,
+        "server-side synthesize compute (no queue wait): hit {:.3} ms x {}, miss {:.3} ms x {} \
+         ({:.1}x; baseline {:.1}x, floor {floor:.1}x, 4 x tolerance {}); canonicalize {:.3} ms x \
+         {lookups}",
+        cur.hit_ms,
+        cur.hits,
+        cur.miss_ms,
+        cur.runs,
+        cur.ratio(),
+        base.ratio(),
+        args.tolerance,
+        counter(cur_scrape, "engine.canonicalize_nanos", &args.current)? as f64
+            / lookups.max(1) as f64
+            / 1e6,
     );
+    if cur.hits == 0 {
+        failures.push("the cached arm served no synthesize hit".to_string());
+    } else if cur.ratio() < floor {
+        failures.push(format!(
+            "hit-over-miss compute regression: {:.1}x fell below the floor {floor:.1}x \
+             (baseline {:.1}x, 4 x tolerance {})",
+            cur.ratio(),
+            base.ratio(),
+            args.tolerance
+        ));
+    }
 
     // Zero-lost accounting: cold + cached arms each replay the workload once.
     for (verb, counter_name, workload_key) in [

@@ -125,20 +125,20 @@ fn parse_args() -> Args {
     let mut argv = ArgCursor::from_env("service_loadgen");
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
-            "--port" => args.port = Some(argv.number(&flag) as u16),
+            "--port" => args.port = Some(argv.number(&flag)),
             "--port-file" => args.port_file = Some(argv.value(&flag)),
-            "--requests" => args.requests = argv.number(&flag) as usize,
-            "--connections" => args.connections = (argv.number(&flag) as usize).max(1),
-            "--num-vars" => args.num_vars = argv.number(&flag) as usize,
-            "--bases" => args.bases = (argv.number(&flag) as usize).max(1),
-            "--repeat-ratio" => args.repeat_ratio = argv.float(&flag),
+            "--requests" => args.requests = argv.number(&flag),
+            "--connections" => args.connections = argv.number::<usize>(&flag).max(1),
+            "--num-vars" => args.num_vars = argv.number(&flag),
+            "--bases" => args.bases = argv.number::<usize>(&flag).max(1),
+            "--repeat-ratio" => args.repeat_ratio = argv.number(&flag),
             "--seed" => args.seed = argv.number(&flag),
             "--json" => args.json_path = argv.value(&flag),
             "--write-baseline" => args.write_baseline = true,
             "--shutdown-server" => args.shutdown_server = true,
             "--scrape" => args.scrape = true,
             "--chaos" => args.chaos = true,
-            "--chaos-requests" => args.chaos_requests = (argv.number(&flag) as usize).max(1),
+            "--chaos-requests" => args.chaos_requests = argv.number::<usize>(&flag).max(1),
             other => argv.fail(format_args!("unknown argument {other}")),
         }
     }

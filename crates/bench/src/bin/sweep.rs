@@ -127,11 +127,11 @@ fn parse_args() -> Args {
     while let Some(flag) = argv.next_flag() {
         match flag.as_str() {
             "--suite" => args.suite = argv.value(&flag),
-            "--threads" => args.config.threads = argv.number(&flag) as usize,
+            "--threads" => args.config.threads = argv.number(&flag),
             "--seed" => args.config.seed = argv.number(&flag),
-            "--max-inputs" => args.config.max_inputs = argv.number(&flag) as usize,
-            "--max-outputs" => args.config.max_outputs = argv.number(&flag) as usize,
-            "--repeat" => args.repeat = argv.number(&flag) as usize,
+            "--max-inputs" => args.config.max_inputs = argv.number(&flag),
+            "--max-outputs" => args.config.max_outputs = argv.number(&flag),
+            "--repeat" => args.repeat = argv.number(&flag),
             "--json" => args.json_path = argv.value(&flag),
             "--write-baseline" => args.write_baseline = true,
             other => argv.fail(format_args!("unknown argument {other}")),

@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// A strict cursor over `std::env::args()` for flag-by-flag parsing.
 ///
@@ -18,7 +19,7 @@ use std::path::PathBuf;
 /// use bidecomp_bench::cli::ArgCursor;
 ///
 /// let mut args = ArgCursor::from_env("mytool");
-/// let mut threads = 0u64;
+/// let mut threads = 0usize;
 /// while let Some(flag) = args.next_flag() {
 ///     match flag.as_str() {
 ///         "--threads" => threads = args.number(&flag),
@@ -65,18 +66,17 @@ impl ArgCursor {
         value.unwrap_or_else(|| self.fail(format_args!("{flag} needs a value")))
     }
 
-    /// The value of `flag` parsed as an unsigned integer; exits if missing
-    /// or unparsable.
-    pub fn number(&mut self, flag: &str) -> u64 {
+    /// The value of `flag` parsed straight into the target type; exits if
+    /// missing, unparsable or out of the type's range (`--port 70000` is an
+    /// error for a `u16`, not port 4464).
+    pub fn number<T: FromStr>(&mut self, flag: &str) -> T
+    where
+        T::Err: fmt::Display,
+    {
         let value = self.value(flag);
-        value.parse().unwrap_or_else(|_| self.fail(format_args!("invalid {flag} value '{value}'")))
-    }
-
-    /// The value of `flag` parsed as a float; exits if missing or
-    /// unparsable.
-    pub fn float(&mut self, flag: &str) -> f64 {
-        let value = self.value(flag);
-        value.parse().unwrap_or_else(|_| self.fail(format_args!("invalid {flag} value '{value}'")))
+        value
+            .parse()
+            .unwrap_or_else(|e| self.fail(format_args!("invalid {flag} value '{value}': {e}")))
     }
 }
 
@@ -101,7 +101,7 @@ mod tests {
     fn flags_and_values_stream_in_order() {
         let mut c = cursor(&["--a", "1", "--b", "x", "--flag"]);
         assert_eq!(c.next_flag().as_deref(), Some("--a"));
-        assert_eq!(c.number("--a"), 1);
+        assert_eq!(c.number::<u64>("--a"), 1);
         assert_eq!(c.next_flag().as_deref(), Some("--b"));
         assert_eq!(c.value("--b"), "x");
         assert_eq!(c.next_flag().as_deref(), Some("--flag"));
@@ -109,10 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn float_values_parse() {
-        let mut c = cursor(&["--tolerance", "0.25"]);
+    fn numbers_parse_into_their_target_type() {
+        let mut c = cursor(&["--tolerance", "0.25", "--port", "65535", "--rate", "1000"]);
         let flag = c.next_flag().unwrap();
-        assert!((c.float(&flag) - 0.25).abs() < 1e-12);
+        assert!((c.number::<f64>(&flag) - 0.25).abs() < 1e-12);
+        let flag = c.next_flag().unwrap();
+        assert_eq!(c.number::<u16>(&flag), u16::MAX);
+        let flag = c.next_flag().unwrap();
+        assert_eq!(c.number::<u32>(&flag), 1000);
     }
 
     #[test]

@@ -31,14 +31,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that did not.
     pub misses: u64,
-    /// Counter-free-lookup probes ([`ShardedCache::contains`]) that found
-    /// their key. Separate from `hits`: probes answer the admission
-    /// controller's "would this be a hit?" peek and must not distort the
-    /// hit rate of real lookups (they also never grant CLOCK second
-    /// chances).
-    pub probe_hits: u64,
-    /// Probes that did not find their key.
-    pub probe_misses: u64,
     /// Successful inserts of a new key.
     pub insertions: u64,
     /// Entries displaced by the CLOCK hand to make room.
@@ -141,8 +133,6 @@ pub struct ShardedCache<K, V> {
     shards: Box<[Mutex<Shard<K, V>>]>,
     hits: obs::Counter,
     misses: obs::Counter,
-    probe_hits: obs::Counter,
-    probe_misses: obs::Counter,
     insertions: obs::Counter,
     evictions: obs::Counter,
     capacity: usize,
@@ -168,8 +158,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 
     /// Like [`ShardedCache::new`], but the counters are registered in
-    /// `registry` (as `cache.hits`, `cache.misses`, `cache.probe_hits`,
-    /// `cache.probe_misses`, `cache.insertions`, `cache.evictions`) so the
+    /// `registry` (as `cache.hits`, `cache.misses`, `cache.insertions`,
+    /// `cache.evictions`) so the
     /// cache shows up in that registry's snapshots. The handles ARE the
     /// storage — there is no mirroring step to forget.
     pub fn with_registry(capacity: usize, shards: usize, registry: &obs::Registry) -> Self {
@@ -179,15 +169,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             [
                 registry.counter("cache.hits"),
                 registry.counter("cache.misses"),
-                registry.counter("cache.probe_hits"),
-                registry.counter("cache.probe_misses"),
                 registry.counter("cache.insertions"),
                 registry.counter("cache.evictions"),
             ],
         )
     }
 
-    fn with_counters(capacity: usize, shards: usize, counters: [obs::Counter; 6]) -> Self {
+    fn with_counters(capacity: usize, shards: usize, counters: [obs::Counter; 4]) -> Self {
         assert!(capacity > 0, "a zero-capacity cache cannot hold anything");
         let shard_count = shards.max(1).next_power_of_two();
         let per_shard = capacity.div_ceil(shard_count);
@@ -202,13 +190,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        let [hits, misses, probe_hits, probe_misses, insertions, evictions] = counters;
+        let [hits, misses, insertions, evictions] = counters;
         ShardedCache {
             shards,
             hits,
             misses,
-            probe_hits,
-            probe_misses,
             insertions,
             evictions,
             capacity: per_shard * shard_count,
@@ -242,28 +228,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                 None
             }
         }
-    }
-
-    /// Probes for `key` without cloning the value, bumping the hit/miss
-    /// counters or granting the slot its second chance. This is the
-    /// admission controller's peek: the server asks "would this request be
-    /// a cache hit?" while deciding whether to shed it, and answering that
-    /// question must not distort the cache statistics the real lookup will
-    /// record moments later.
-    ///
-    /// Probes are still observable: they count under the dedicated
-    /// `cache.probe_hits` / `cache.probe_misses` counters, which keeps
-    /// admission-control traffic visible without polluting the hit rate.
-    /// Note they deliberately continue to bypass the CLOCK `referenced`
-    /// touch — a shed decision must not extend an entry's lifetime.
-    pub fn contains(&self, key: &K) -> bool {
-        let found = self.shard(key).lock().expect("cache shard poisoned").map.contains_key(key);
-        if found {
-            self.probe_hits.inc();
-        } else {
-            self.probe_misses.inc();
-        }
-        found
     }
 
     /// Inserts `key → value`, evicting via CLOCK when the stripe is full.
@@ -312,8 +276,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            probe_hits: self.probe_hits.get(),
-            probe_misses: self.probe_misses.get(),
             insertions: self.insertions.get(),
             evictions: self.evictions.get(),
             entries: self.len() as u64,
@@ -378,37 +340,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_probes_without_counting_or_granting_second_chances() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::new(4, 1);
-        assert!(!cache.contains(&0));
-        for k in 0..4 {
-            cache.insert(k, k);
-        }
-        assert!(cache.contains(&0));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0), "a probe is not a lookup");
-        assert_eq!(
-            (stats.probe_hits, stats.probe_misses),
-            (1, 1),
-            "probes count under their own dedicated counters"
-        );
-        // A probe must not refresh recency: key 0 is still the CLOCK hand's
-        // first unreferenced victim.
-        cache.insert(100, 100);
-        assert!(!cache.contains(&0), "the probed key must not have earned a second chance");
-        assert!(cache.contains(&100));
-        let stats = cache.stats();
-        assert_eq!((stats.probe_hits, stats.probe_misses), (2, 2));
-    }
-
-    #[test]
     fn with_registry_exposes_counters_in_snapshots() {
         let registry = obs::Registry::new();
         let cache: ShardedCache<u32, u32> = ShardedCache::with_registry(16, 2, &registry);
         cache.insert(1, 10);
         assert_eq!(cache.get(&1), Some(10));
         assert_eq!(cache.get(&2), None);
-        assert!(cache.contains(&1));
         let snapshot = registry.snapshot();
         let counter =
             |name: &str| snapshot.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
@@ -416,11 +353,9 @@ mod tests {
         assert_eq!(counter("cache.misses"), Some(1));
         assert_eq!(counter("cache.insertions"), Some(1));
         assert_eq!(counter("cache.evictions"), Some(0));
-        assert_eq!(counter("cache.probe_hits"), Some(1));
-        assert_eq!(counter("cache.probe_misses"), Some(0));
         // The registry handles ARE the storage: stats() reads the same cells.
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.probe_hits), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

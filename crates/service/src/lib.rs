@@ -17,7 +17,7 @@
 //! * [`NpnCache`] — the two glued together: an NPN-keyed memo of completed
 //!   request results (`synthesize` networks and `decompose` quotients). The
 //!   server canonicalizes each request's function once and passes the
-//!   [`Canonical`] to every probe, lookup and store. The cache sits in front
+//!   [`Canonical`] to its lookup and store. The cache sits in front
 //!   of whole requests only: a canonicalization costs about 0.03 ms at 9
 //!   inputs and 0.16 ms at 12, a Table II quotient under a microsecond, and
 //!   the quotient subproblems inside a synthesis almost never recur (no
@@ -114,8 +114,8 @@ pub struct CachedSynthesis {
 /// The NPN-canonical result cache: [`ShardedCache`] keyed by [`CacheKey`].
 ///
 /// Every method takes the queried function's [`Canonical`] form, so a
-/// caller canonicalizes once per request however many times it probes,
-/// looks up and stores.
+/// caller canonicalizes once per request however many times it looks up
+/// and stores.
 ///
 /// ```rust
 /// use bidecomp::{full_quotient, BinaryOp};
@@ -169,26 +169,6 @@ impl NpnCache {
             g: g_image.as_words().to_vec().into_boxed_slice(),
             op: canon.transform.map_op(op),
         }
-    }
-
-    /// Probes whether [`NpnCache::lookup_quotient`] would hit, without touching
-    /// the hit/miss counters or the CLOCK recency bits. The server's
-    /// admission controller uses this to keep answering cached work while
-    /// shedding: a probe must not make the entry look hotter (or the stats
-    /// look better) than the traffic actually is.
-    ///
-    /// Probes do count — under the dedicated `cache.probe_hits` /
-    /// `cache.probe_misses` counters (see [`ShardedCache::contains`]) — so
-    /// admission-control traffic is visible without distorting the hit
-    /// rate. They still deliberately bypass the CLOCK `referenced` touch.
-    pub fn has_quotient(&self, canon: &Canonical, g: &TruthTable, op: BinaryOp) -> bool {
-        self.store.contains(&Self::quotient_key(canon, g, op))
-    }
-
-    /// Probes whether [`NpnCache::lookup_synthesis`] would hit — the
-    /// probe-counted twin of [`NpnCache::has_quotient`].
-    pub fn has_synthesis(&self, canon: &Canonical, config: u64) -> bool {
-        self.store.contains(&CacheKey::Synthesis { f: canon.key.clone(), config })
     }
 
     /// The full quotient of `(f, g, op)`, where `canon` is `f`'s canonical
@@ -332,11 +312,6 @@ mod tests {
         let h = full_quotient(&f, &g, BinaryOp::And).unwrap();
         let canon = canonicalize(&f);
         cache.store_quotient(&canon, &g, BinaryOp::And, &h);
-        // The admission probe sees the entry without recording a hit.
-        assert!(cache.has_quotient(&canon, &g, BinaryOp::And));
-        assert!(!cache.has_quotient(&canon, &g, BinaryOp::Or));
-        assert_eq!(cache.stats().hits, 0, "probes must not count as hits");
-        assert_eq!(cache.stats().misses, 0, "probes must not count as misses");
         // Same f and g, different op: distinct problem, must miss.
         assert_eq!(cache.lookup_quotient(&canon, &g, BinaryOp::ConverseNonImplication), None);
         // Same f and op, different g: must miss.

@@ -58,8 +58,9 @@
 //! * `"overloaded"` — the request was shed by admission control; the reply
 //!   carries `"retry_after_ms"` (jittered, derived from queue depth).
 //!   Expensive `synthesize` requests shed at half the queue bound,
-//!   `decompose` only once the queue is truly full, and requests whose
-//!   answer is already cached are served inline even while shedding;
+//!   `decompose` only once the queue is truly full. A shed does no work: the
+//!   request is not canonicalized, looked up or computed, so a cached
+//!   request sheds like any other;
 //! * `"deadline_exceeded"` — the request's `deadline_ms` expired;
 //! * `"internal"` — the worker panicked on this request; the worker is
 //!   rebuilt and the panic counted, the server keeps running;
@@ -75,24 +76,24 @@
 //!
 //! ## Execution model
 //!
-//! Each connection gets a reader thread (parses lines into the shared
-//! queue) and a writer thread (drains an unbounded reply channel, so a slow
-//! client never stalls the service). [`Server::run`] spawns
-//! [`ServiceConfig::workers`] compute threads that drain the queue: each
-//! runs one claim loop, popping requests one at a time until shutdown, so
-//! a cheap cache hit is answered the microsecond a worker is free instead
-//! of waiting out a slow miss behind a batch barrier. A `shutdown` wakes
-//! every parked worker at once. Workers send replies in completion order
-//! and the writer reorders by per-connection sequence number, so the wire
-//! still answers strictly in request order. The NPN cache
-//! ([`crate::NpnCache`]) is shared by every worker and sits in front of
-//! whole requests only: a cached request canonicalizes its function once,
-//! then does exactly one lookup and, on a miss, one store, while a
-//! `no_cache` request touches the cache in no way. Each worker keeps one
-//! recursive synthesizer, which recomputes the quotient subproblems of a
-//! synthesis rather than looking them up: a Table II quotient takes under
-//! a microsecond at 9–12 inputs, an NPN canonicalization 0.03–0.16 ms, and
-//! on never-repeated 9–12-input functions almost no quotient lookup hits.
+//! Each connection gets a reader thread (parses lines into the shared queue, or
+//! sheds them in O(1)) and a writer thread (drains an unbounded reply channel,
+//! so a slow client never stalls the service). [`Server::run`] spawns
+//! [`ServiceConfig::workers`] compute threads that drain the queue: each runs
+//! one claim loop, popping requests one at a time until shutdown, so a cheap
+//! cache hit is answered the microsecond a worker is free instead of waiting
+//! out a slow miss behind a batch barrier. A `shutdown` wakes every parked
+//! worker at once. Workers send replies in completion order and the writer
+//! reorders by per-connection sequence number, so the wire still answers
+//! strictly in request order. The NPN cache ([`crate::NpnCache`]) is shared by
+//! every worker and sits in front of whole requests only, and only workers
+//! touch it: a cached request canonicalizes its function once, then does
+//! exactly one lookup and, on a miss, one store, while a `no_cache` request
+//! touches the cache in no way. Each worker keeps one recursive synthesizer,
+//! which recomputes the quotient subproblems of a synthesis rather than looking
+//! them up: a Table II quotient takes under a microsecond at 9–12 inputs, an
+//! NPN canonicalization 0.03–0.16 ms, and on never-repeated 9–12-input
+//! functions almost no quotient lookup hits.
 //!
 //! Per-request compute runs under `catch_unwind`; a panicking request is
 //! answered `"internal"` and its worker's scratch state is rebuilt. A
@@ -168,8 +169,8 @@ pub struct ServiceConfig {
     pub recursive: RecursiveConfig,
     /// Request-queue bound for admission control; `0` means unbounded (no
     /// shedding). `synthesize` requests shed at half this depth,
-    /// `decompose` at the full depth; cached answers are served inline even
-    /// while shedding.
+    /// `decompose` at the full depth, whether or not their answer is cached:
+    /// a shed is answered without canonicalizing or touching the cache.
     pub max_queue: usize,
     /// Concurrent-connection bound; `0` means unbounded. Excess connections
     /// get one `overloaded` line and are closed.
@@ -858,10 +859,6 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServiceState>) {
 
     let mut reader = BufReader::new(stream);
     let mut seq = 0u64;
-    // Lazy per-connection area model for synthesize cache hits answered
-    // inline while shedding (building one is not free; most connections
-    // never shed).
-    let mut inline_area: Option<AreaModel> = None;
     loop {
         let line = match read_bounded_line(&mut reader, state.config.max_line_bytes) {
             LineOutcome::Line(line) => line,
@@ -889,8 +886,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServiceState>) {
                 continue;
             }
         };
-        let reply = admit(state, request, seq, &tx, &mut inline_area);
-        if let Some(reply) = reply {
+        if let Some(reply) = admit(state, request, seq, &tx) {
             let _ = tx.send((seq, Reply::Line(reply)));
         }
         seq += 1;
@@ -900,18 +896,13 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServiceState>) {
 }
 
 /// Admission control: either enqueues the request (returning `None` — the
-/// reply will come from a worker) or answers it inline on the reader thread
-/// (shutdown notice, shed, or a cache hit served while shedding).
-fn admit(
-    state: &Arc<ServiceState>,
-    request: Request,
-    seq: u64,
-    tx: &ReplyTx,
-    inline_area: &mut Option<AreaModel>,
-) -> Option<String> {
+/// reply will come from a worker) or refuses it on the reader thread with a
+/// shutdown notice or an `overloaded` shed. Refusing costs O(1): a shed
+/// request is never canonicalized, looked up or computed.
+fn admit(state: &ServiceState, request: Request, seq: u64, tx: &ReplyTx) -> Option<String> {
     let received = Instant::now();
     let deadline = request.deadline_ms.map(|ms| received + Duration::from_millis(ms));
-    let queue = state.queue.lock().expect("request queue poisoned");
+    let mut queue = state.queue.lock().expect("request queue poisoned");
     if state.shutting_down() {
         drop(queue);
         return Some(attach_id(error_value(ERR_SHUTDOWN), &request.id).to_string());
@@ -927,65 +918,18 @@ fn admit(
         Payload::Synthesize { .. } => state.config.synthesize_shed_depth(),
         Payload::Decompose { .. } => max,
     };
-    if max == 0 || depth < shed_depth {
-        let mut queue = queue;
-        queue.push_back(QueueItem { request, deadline, received, seq, reply: tx.clone() });
-        // The gauge's current value tracks the live depth; its peak is the
-        // high-water mark `stats` reports.
-        state.counters.queue_depth.set(queue.len() as u64);
+    if max > 0 && depth >= shed_depth {
         drop(queue);
-        state.available.notify_one();
-        return None;
+        state.counters.sheds.inc();
+        return Some(overloaded_response(state.retry_after_ms(depth), &request.id));
     }
+    queue.push_back(QueueItem { request, deadline, received, seq, reply: tx.clone() });
+    // The gauge's current value tracks the live depth; its peak is the
+    // high-water mark `stats` reports.
+    state.counters.queue_depth.set(queue.len() as u64);
     drop(queue);
-    // Shedding — but an already-cached answer costs microseconds, so probe
-    // the cache (counted under `cache.probe_*`, no CLOCK recency touch) and
-    // answer hits inline on this reader thread.
-    if let Some(reply) = inline_cache_hit(state, &request, deadline, inline_area) {
-        if let Some(latency) = state.counters.latency_of(&request.payload) {
-            latency.record(received.elapsed().as_micros() as u64);
-        }
-        return Some(reply);
-    }
-    state.counters.sheds.inc();
-    Some(overloaded_response(state.retry_after_ms(depth), &request.id))
-}
-
-/// Serves a shed-path request inline if (and only if) its answer is already
-/// cached. Returns `None` when the request must actually shed.
-fn inline_cache_hit(
-    state: &ServiceState,
-    request: &Request,
-    deadline: Option<Instant>,
-    inline_area: &mut Option<AreaModel>,
-) -> Option<String> {
-    match &request.payload {
-        Payload::Decompose { f, g, seed, op, no_cache: false, tables } => {
-            let view = state.cache_view(f, false)?;
-            let g = g.clone().unwrap_or_else(|| seeded_divisor(f, *op, *seed));
-            if !view.cache.has_quotient(&view.canon, &g, *op) {
-                return None;
-            }
-            state.counters.decompose.inc();
-            let result =
-                handle_decompose(state, f, Some(&g), *seed, *op, Some(&view), *tables, deadline);
-            Some(finish(state, result, &request.id))
-        }
-        Payload::Synthesize { f, no_cache: false } => {
-            let view = state.cache_view(f, false)?;
-            if !view.cache.has_synthesis(&view.canon, state.config_fp) {
-                return None;
-            }
-            let area = inline_area.get_or_insert_with(AreaModel::mcnc);
-            // The entry can be evicted between the probe and the lookup; in
-            // that unlucky race the request sheds rather than synthesizing
-            // on the reader thread.
-            let result = synthesize_hit(state, area, f, &view, deadline)?;
-            state.counters.synthesize.inc();
-            Some(finish(state, result, &request.id))
-        }
-        _ => None,
-    }
+    state.available.notify_one();
+    None
 }
 
 /// Per-connection writer: reorders worker replies into request order and
@@ -1275,44 +1219,10 @@ fn synthesize_response(
     ])
 }
 
-/// The synthesis cache-hit path (rewire, re-verify, re-map), shared by the
-/// worker handler and the inline shed-path server. `None` on a cache miss;
-/// a hit's whole cost, lookup included, lands in `engine.hit_nanos`.
-fn synthesize_hit(
-    state: &ServiceState,
-    area: &AreaModel,
-    f: &Isf,
-    view: &CacheView,
-    deadline: Option<Instant>,
-) -> Option<Result<Value, RequestError>> {
-    let start = Instant::now();
-    let cached = view.cache.lookup_synthesis(&view.canon, state.config_fp)?;
-    let answer = || {
-        // Honor the deadline before rewiring, re-verifying and re-mapping.
-        if deadline_expired(deadline) {
-            return Err(RequestError::Deadline);
-        }
-        let network = view.canon.transform.inverse().rewire_network(&cached.network);
-        if !verify_network(f, &network, 0) {
-            return Err("cached network failed re-verification (cache bug)".to_string().into());
-        }
-        let mapped_area = area.mapper().map(&network).area;
-        Ok(synthesize_response(
-            f,
-            network.gate_count(),
-            cached.depth,
-            cached.branches,
-            mapped_area,
-            cached.flat_area,
-            true,
-            "hit",
-        ))
-    };
-    let result = answer();
-    state.counters.engine_hit_nanos.add(start.elapsed().as_nanos() as u64);
-    Some(result)
-}
-
+/// Answers from the synthesis cache when it holds `f`'s NPN class (the
+/// canonical network is rewired, re-verified and re-mapped; the hit's whole
+/// cost, lookup included, lands in `engine.hit_nanos`), otherwise runs the
+/// worker's synthesizer and stores the result.
 fn handle_synthesize(
     state: &ServiceState,
     worker: &mut Worker,
@@ -1320,8 +1230,37 @@ fn handle_synthesize(
     view: Option<&CacheView>,
     deadline: Option<Instant>,
 ) -> Result<Value, RequestError> {
-    if let Some(result) = view.and_then(|v| synthesize_hit(state, &worker.area, f, v, deadline)) {
-        return result;
+    let start = Instant::now();
+    if let Some(CacheView { cache, canon }) = view {
+        if let Some(cached) = cache.lookup_synthesis(canon, state.config_fp) {
+            let answer = || {
+                // Honor the deadline before rewiring, re-verifying and
+                // re-mapping.
+                if deadline_expired(deadline) {
+                    return Err(RequestError::Deadline);
+                }
+                let network = canon.transform.inverse().rewire_network(&cached.network);
+                if !verify_network(f, &network, 0) {
+                    return Err("cached network failed re-verification (cache bug)"
+                        .to_string()
+                        .into());
+                }
+                let mapped_area = worker.area.mapper().map(&network).area;
+                Ok(synthesize_response(
+                    f,
+                    network.gate_count(),
+                    cached.depth,
+                    cached.branches,
+                    mapped_area,
+                    cached.flat_area,
+                    true,
+                    "hit",
+                ))
+            };
+            let result = answer();
+            state.counters.engine_hit_nanos.add(start.elapsed().as_nanos() as u64);
+            return result;
+        }
     }
     if deadline_expired(deadline) {
         return Err(RequestError::Deadline);

@@ -99,8 +99,6 @@ fn metrics_verb_round_trips_and_counts() {
         "engine.canonicalize_nanos",
         "engine.hit_nanos",
         "cache.hits",
-        "cache.probe_hits",
-        "cache.probe_misses",
     ] {
         assert!(idle_names.iter().any(|n| n == name), "idle snapshot lacks {name}");
     }

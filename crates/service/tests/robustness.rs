@@ -1,5 +1,5 @@
 //! The full error taxonomy, end to end over real sockets: overload
-//! shedding (with inline cache hits), deadlines, injected panics, slow
+//! shedding (which never touches the cache), deadlines, injected panics, slow
 //! clients, over-long and deeply nested lines, the connection cap and a
 //! draining shutdown — each asserting the exact `error` string and that the
 //! connection (or at least the server) survives — plus the configuration
@@ -80,11 +80,20 @@ fn synthesize_line(num_vars: usize, pattern: &[&str]) -> String {
     format!(r#"{{"verb":"synthesize","num_vars":{num_vars},"f_on":"{}"}}"#, table_to_hex(f.on()))
 }
 
-/// Admission control: with the queue full, uncached synthesize and
-/// decompose shed with `overloaded` + `retry_after_ms`, while requests
-/// whose answer is cached are served inline (`cache: "hit"`).
+/// The `metrics` snapshot's value of one server counter.
+fn metrics_counter(snapshot: &Value, name: &str) -> u64 {
+    snapshot
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("missing counter {name} in {snapshot}"))
+}
+
+/// Admission control: with the queue full, synthesize and decompose shed
+/// with `overloaded` + `retry_after_ms` — cached or not — and a shed does
+/// no work: no canonicalization, no cache lookup, no compute.
 #[test]
-fn overload_sheds_with_retry_hints_but_serves_cache_hits() {
+fn overload_sheds_without_touching_the_cache() {
     let plan = FaultPlan::new(11);
     let mut faults = plan.clone();
     faults.delay_per_mille = 1000; // every compute request sleeps…
@@ -104,17 +113,20 @@ fn overload_sheds_with_retry_hints_but_serves_cache_hits() {
     let cached_synthesize = synthesize_line(4, &["1-11", "-1-0"]);
     assert!(ok_field(&slow.roundtrip(&cached_decompose)));
     assert!(ok_field(&slow.roundtrip(&cached_synthesize)));
+    let before = slow.roundtrip(r#"{"verb":"metrics"}"#);
 
     // Storm: with delays armed and one worker, A occupies the worker and
-    // B/C fill the depth-2 queue.
+    // B/C fill the depth-2 queue. They bypass the cache, so from here on
+    // only the shed requests below could move the cache counters.
     faults.arm(true);
-    slow.send(&decompose_line(4, &["1--1"], 5));
+    let uncached = |line: String| format!(r#"{},"no_cache":true}}"#, &line[..line.len() - 1]);
+    slow.send(&uncached(decompose_line(4, &["1--1"], 5)));
     std::thread::sleep(Duration::from_millis(150)); // let the worker claim A
-    slow.send(&decompose_line(4, &["-11-"], 6));
-    slow.send(&decompose_line(4, &["0-01"], 7));
+    slow.send(&uncached(decompose_line(4, &["-11-"], 6)));
+    slow.send(&uncached(decompose_line(4, &["0-01"], 7)));
     std::thread::sleep(Duration::from_millis(50));
 
-    // A second connection probes the shed path while the queue is full.
+    // A second connection hits the shed path while the queue is full.
     let mut probe = Client::connect(addr);
     let shed = probe.roundtrip(&format!(
         r#"{{"verb":"synthesize","num_vars":4,"f_on":"{}","id":"s-1"}}"#,
@@ -129,13 +141,13 @@ fn overload_sheds_with_retry_hints_but_serves_cache_hits() {
     assert!(!ok_field(&shed), "uncached decompose must shed at full depth: {shed}");
     assert_eq!(str_field(&shed, "error"), ERR_OVERLOADED);
 
-    // Cached answers are still served, inline, while shedding.
-    let hit = probe.roundtrip(&cached_synthesize);
-    assert!(ok_field(&hit), "cached synthesize must be served while shedding: {hit}");
-    assert_eq!(str_field(&hit, "cache"), "hit");
-    let hit = probe.roundtrip(&cached_decompose);
-    assert!(ok_field(&hit), "cached decompose must be served while shedding: {hit}");
-    assert_eq!(str_field(&hit, "cache"), "hit");
+    // A cached answer is no exception: the shed path never looks.
+    let shed = probe.roundtrip(&cached_synthesize);
+    assert!(!ok_field(&shed), "cached synthesize must shed too: {shed}");
+    assert_eq!(str_field(&shed, "error"), ERR_OVERLOADED);
+    let shed = probe.roundtrip(&cached_decompose);
+    assert!(!ok_field(&shed), "cached decompose must shed too: {shed}");
+    assert_eq!(str_field(&shed, "error"), ERR_OVERLOADED);
 
     // Recovery: disarm the delays, drain, and check the books.
     faults.arm(false);
@@ -144,8 +156,16 @@ fn overload_sheds_with_retry_hints_but_serves_cache_hits() {
         assert!(ok_field(&response), "in-flight request {label} lost: {response}");
     }
     let stats = probe.roundtrip(r#"{"verb":"stats"}"#);
-    assert!(u64_field(&stats, "sheds") >= 2, "stats must count the sheds: {stats}");
+    assert_eq!(u64_field(&stats, "sheds"), 4, "stats must count the sheds: {stats}");
     assert_eq!(u64_field(&stats, "panics"), 0);
+    let after = probe.roundtrip(r#"{"verb":"metrics"}"#);
+    for name in ["cache.hits", "cache.misses", "engine.canonicalize_nanos"] {
+        assert_eq!(
+            metrics_counter(&after, name),
+            metrics_counter(&before, name),
+            "{name} moved across the sheds"
+        );
+    }
 
     probe.roundtrip(r#"{"verb":"shutdown"}"#);
     drop(probe);
