@@ -22,7 +22,9 @@
 //!   its `speedup` (cube-list espresso wall over dense espresso wall, same
 //!   process, one thread) uses the same tolerance band as the sweep schema;
 //!   so do the `verify` block's network count and `speedup` (per-minterm
-//!   over word-parallel `verify_network`).
+//!   over word-parallel `verify_network`). The `memo` block's two counts
+//!   (2-SPP syntheses requested, and answered by the recursion's per-call
+//!   memo) are deterministic and compared exactly.
 //! * `bidecomp-service-v1` — the service load generator
 //!   (`service_loadgen`): the workload shape (request counts, arity, base
 //!   pool, connection count) and the zero-error requirement are exact; the
@@ -329,8 +331,9 @@ fn run_sweep(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
 
 /// The synth-schema gate: everything in a `bidecomp-synth-v1` document
 /// except the wall times and the espresso speedup is deterministic, so the
-/// comparison is exact — aggregate counters bit for bit, areas within 1e-6
-/// (decimal-text round-tripping only), one row per `(instance, output)`.
+/// comparison is exact — aggregate counters and the memo counts bit for
+/// bit, areas within 1e-6 (decimal-text round-tripping only), one row per
+/// `(instance, output)`.
 /// The espresso speedup is gated like the sweep's: it may not fall below
 /// `max(1.0, baseline × (1 − tolerance))`.
 fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<String>, String> {
@@ -404,6 +407,20 @@ fn run_synth(args: &Args, baseline: &Value, current: &Value) -> Result<Vec<Strin
             base_rows.len(),
             cur_rows.len()
         ));
+    }
+
+    // --- The per-call synthesis memo (exact) ---
+    let memo = |doc: &Value, path: &str| {
+        doc.get("memo").cloned().ok_or_else(|| format!("{path}: missing memo block"))
+    };
+    let (base_memo, cur_memo) = (memo(baseline, &args.baseline)?, memo(current, &args.current)?);
+    for key in ["requested", "answered"] {
+        let b = u64_field(&base_memo, key, &args.baseline)?;
+        let c = u64_field(&cur_memo, key, &args.current)?;
+        println!("2-SPP syntheses {key}: baseline {b}, current {c} (compared exactly)");
+        if b != c {
+            failures.push(format!("memo.{key} differs: baseline {b} vs current {c}"));
+        }
     }
 
     // --- In-process reference arms (tolerance band) ---

@@ -36,6 +36,11 @@
 //! both give the same verdict on every network; `regress` gates the ratio
 //! like the espresso one.
 //!
+//! The `memo` block totals, over those same one-thread syntheses, how many
+//! 2-SPP syntheses the recursion requested (`requested`) and how many its
+//! per-call memo answered (`answered`). Both are deterministic; `regress`
+//! compares them exactly, so a change that loses the memo's hits fails.
+//!
 //! `--write-baseline` additionally rewrites `BENCH_synth_baseline.json`.
 //! Output lands in `BENCH_OUT_DIR` (default: working directory).
 
@@ -43,7 +48,7 @@ use std::process::ExitCode;
 
 use benchmarks::Suite;
 use bidecomp::engine::{sweep_synthesis, SynthesisConfig, SynthesisReport};
-use bidecomp::{verify_network, verify_network_per_minterm, RecursiveSynthesizer};
+use bidecomp::{verify_network, verify_network_per_minterm, MemoCounts, RecursiveSynthesizer};
 use bidecomp_bench::cli::{bench_out_path, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 use bidecomp_bench::ReferenceArm;
@@ -136,17 +141,27 @@ fn espresso_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
     })
 }
 
-/// Synthesizes every output function once more on this thread, then times
-/// the word-parallel `verify_network` against its per-minterm oracle over
-/// the resulting networks; fails unless their verdicts agree on every one.
-fn verify_arm(functions: &[&Isf], config: &SynthesisConfig) -> Result<ReferenceArm, String> {
+/// Synthesizes every output function once more on this thread, totalling
+/// the memo counts of those syntheses, then times the word-parallel
+/// `verify_network` against its per-minterm oracle over the resulting
+/// networks; fails unless their verdicts agree on every one.
+fn verify_arm(
+    functions: &[&Isf],
+    config: &SynthesisConfig,
+) -> Result<(ReferenceArm, MemoCounts), String> {
     let synthesizer = RecursiveSynthesizer::new(config.recursive.clone());
+    let mut memo = MemoCounts::default();
     let cases = functions
         .iter()
-        .map(|&f| synthesizer.synthesize(f).map(|result| (f, result.network)))
-        .collect::<Result<Vec<(&Isf, Network)>, _>>()
+        .map(|&f| {
+            let result = synthesizer.synthesize(f)?;
+            memo.requested += result.memo.requested;
+            memo.answered += result.memo.answered;
+            Ok((f, result.network))
+        })
+        .collect::<Result<Vec<(&Isf, Network)>, bidecomp::BidecompError>>()
         .map_err(|e| format!("synthesis failed: {e}"))?;
-    ReferenceArm::measure(
+    let arm = ReferenceArm::measure(
         &cases,
         REPEATS,
         |(f, net)| verify_network(f, net, 0),
@@ -157,13 +172,15 @@ fn verify_arm(functions: &[&Isf], config: &SynthesisConfig) -> Result<ReferenceA
             "network #{i}: word-parallel verify_network says {word}, \
              the per-minterm oracle {per_minterm}"
         )
-    })
+    })?;
+    Ok((arm, memo))
 }
 
 fn report_to_json(
     report: &SynthesisReport,
     espresso: &ReferenceArm,
     verify: &ReferenceArm,
+    memo: MemoCounts,
 ) -> Value {
     let instances = report
         .jobs
@@ -196,6 +213,13 @@ fn report_to_json(
         ("wall_ms".into(), Value::Num(report.wall_micros as f64 / 1000.0)),
         ("espresso".into(), espresso.to_json("functions", "dense_ms", "cube_list_ms")),
         ("verify".into(), verify.to_json("networks", "word_ms", "per_minterm_ms")),
+        (
+            "memo".into(),
+            Value::Object(vec![
+                ("requested".into(), json::num(memo.requested)),
+                ("answered".into(), json::num(memo.answered)),
+            ]),
+        ),
         ("instances".into(), Value::Array(instances)),
     ])
 }
@@ -251,7 +275,7 @@ fn main() -> ExitCode {
     }
 
     let functions = suite_functions(&suite, &args.config);
-    let (espresso, verify) = match espresso_arm(&functions)
+    let (espresso, (verify, memo)) = match espresso_arm(&functions)
         .and_then(|e| Ok((e, verify_arm(&functions, &args.config)?)))
     {
         Ok(arms) => arms,
@@ -276,8 +300,15 @@ fn main() -> ExitCode {
         verify.oracle_micros as f64 / 1000.0,
         verify.speedup(),
     );
+    println!(
+        "2-SPP syntheses of those networks: {} requested, {} answered by the per-call memo \
+         ({:.1}%)",
+        memo.requested,
+        memo.answered,
+        memo.answered as f64 * 100.0 / memo.requested.max(1) as f64,
+    );
 
-    let doc = report_to_json(&report, &espresso, &verify);
+    let doc = report_to_json(&report, &espresso, &verify, memo);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

@@ -23,7 +23,7 @@ use crate::truth_table::TruthTable;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Isf {
     on: TruthTable,
     dc: TruthTable,

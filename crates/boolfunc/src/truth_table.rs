@@ -118,13 +118,18 @@ impl TruthTable {
     /// Panics if `num_vars > TruthTable::MAX_VARS` or `var >= num_vars`.
     pub fn variable(num_vars: usize, var: usize) -> Self {
         assert!(var < num_vars, "variable index {var} out of range");
-        let mut t = Self::zero(num_vars);
-        for m in 0..(1usize << num_vars) {
-            if m >> var & 1 == 1 {
-                t.set(m as u64, true);
-            }
-        }
-        t
+        // Variables 0–5 repeat one in-word pattern; variable `var ≥ 6` is
+        // bit `var − 6` of the word index.
+        let mut word = 0usize;
+        Self::from_words(num_vars, || {
+            let w = match Self::VAR_PATTERNS.get(var) {
+                Some(&pattern) => pattern,
+                None if word >> (var - 6) & 1 == 1 => u64::MAX,
+                None => 0,
+            };
+            word += 1;
+            w
+        })
     }
 
     /// Builds a table by evaluating `f` on every minterm.
@@ -532,6 +537,16 @@ mod tests {
         assert_eq!(x2.count_ones(), 16);
         assert!(x2.get(0b00100));
         assert!(!x2.get(0b00000));
+    }
+
+    #[test]
+    fn word_parallel_variable_matches_the_per_minterm_definition() {
+        for n in 1..=14 {
+            for var in 0..n {
+                let expected = TruthTable::from_fn(n, |m| m >> var & 1 == 1);
+                assert_eq!(TruthTable::variable(n, var), expected, "n={n} var={var}");
+            }
+        }
     }
 
     #[test]

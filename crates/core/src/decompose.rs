@@ -2,6 +2,8 @@
 //! form, derive an approximation `g`, compute the full quotient `h`,
 //! re-synthesize both in 2-SPP, and report mapped areas and gains.
 
+use std::borrow::Cow;
+
 use boolfunc::{Isf, TruthTable};
 use spp::{BoundedExpansion, FullExpansion, SppForm, SppSynthesizer};
 use techmap::{AreaModel, CombineOp};
@@ -274,28 +276,47 @@ pub fn derive_strategy_divisor(
     if let ApproxStrategy::Seeded { seed } = strategy {
         return Ok(seeded_divisor(f, op, seed));
     }
-    // Which base function must be over-approximated (0→1)?
-    let complement_base = matches!(
-        op,
-        BinaryOp::Or | BinaryOp::ConverseImplication | BinaryOp::Implication | BinaryOp::Nand
-    );
-    let base = if complement_base {
-        Isf::new(f.off(), f.dc().clone()).expect("off and dc are disjoint")
-    } else {
-        f.clone()
+    let base = divisor_base(f, op);
+    let synthesized;
+    let base_form = match &base {
+        Cow::Borrowed(_) => f_form,
+        Cow::Owned(complement) => {
+            synthesized = synthesizer.synthesize(complement);
+            &synthesized
+        }
     };
-    let base_form = if complement_base { synthesizer.synthesize(&base) } else { f_form.clone() };
     let over = match strategy {
         ApproxStrategy::FullExpansion => {
-            FullExpansion::new().approximate(&base_form, &base, synthesizer).g_table
+            FullExpansion::new().approximate(base_form, &base, synthesizer).g_table
         }
         ApproxStrategy::Bounded { max_error_rate } => {
-            BoundedExpansion::new(max_error_rate).approximate(&base_form, &base).g_table
+            BoundedExpansion::new(max_error_rate).approximate(base_form, &base).g_table
         }
         ApproxStrategy::Seeded { .. } => unreachable!("handled above"),
         ApproxStrategy::External => return Err(BidecompError::MissingExternalDivisor),
     };
-    Ok(match op {
+    Ok(divisor_from_over_approximation(f, op, over))
+}
+
+/// The base function `op`'s divisor over-approximates (0→1): `f` itself,
+/// or its complement `(f_off, f_dc)` for `OR`, `⇐`, `⇒` and `NAND`.
+pub(crate) fn divisor_base(f: &Isf, op: BinaryOp) -> Cow<'_, Isf> {
+    match op {
+        BinaryOp::Or | BinaryOp::ConverseImplication | BinaryOp::Implication | BinaryOp::Nand => {
+            Cow::Owned(Isf::new(f.off(), f.dc().clone()).expect("off and dc are disjoint"))
+        }
+        _ => Cow::Borrowed(f),
+    }
+}
+
+/// Maps an over-approximation `over` of [`divisor_base`]`(f, op)` onto the
+/// divisor `op` needs (the Table II side conditions).
+pub(crate) fn divisor_from_over_approximation(
+    f: &Isf,
+    op: BinaryOp,
+    over: TruthTable,
+) -> TruthTable {
+    match op {
         // g_on ⊆ f_on: complement the over-approximation of f' and drop
         // any don't-care minterms so the Table II side condition holds
         // strictly.
@@ -303,7 +324,7 @@ pub fn derive_strategy_divisor(
         // g_on ⊆ f_off: complement the over-approximation of f.
         BinaryOp::ConverseNonImplication | BinaryOp::Nor => &(!&over) & &f.off(),
         _ => over,
-    })
+    }
 }
 
 /// Maps a semantic operator onto the structural top gate used by the area

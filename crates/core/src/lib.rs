@@ -100,8 +100,8 @@ pub use quotient::{
     QuotientScratch, QuotientSets, Table2Row,
 };
 pub use recursive::{
-    verify_network, verify_network_per_minterm, DecompositionTree, LeafKind, RecursiveConfig,
-    RecursiveSynthesis, RecursiveSynthesizer,
+    verify_network, verify_network_per_minterm, DecompositionTree, LeafKind, MemoCounts,
+    RecursiveConfig, RecursiveSynthesis, RecursiveSynthesizer,
 };
 pub use report::{BenchmarkRow, TableReport};
 pub use sequence::decomposition_sequence;

@@ -17,6 +17,14 @@
 //! choices made, and the network is always checked against `f`'s care set by
 //! exhaustive word-parallel simulation ([`verify_network`]).
 //!
+//! Every call synthesizes each ISF once: a per-call memo, dropped on
+//! return, maps each ISF to its 2-SPP form and each divisor base to its
+//! full-expansion over-approximation, so `AND` and `⇏` at one node share one
+//! expansion and a quotient equal to an ISF synthesized earlier in the call
+//! is not synthesized again. The memo only skips repeated work — results
+//! are bit-identical — and [`RecursiveSynthesis::memo`] reports how many
+//! syntheses it answered.
+//!
 //! ```rust
 //! use bidecomp::recursive::RecursiveSynthesizer;
 //! use boolfunc::Isf;
@@ -30,15 +38,20 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
 use benchmarks::DetRng;
 use boolfunc::{Isf, TruthTable};
-use spp::{SppForm, SppSynthesizer};
+use spp::{FullExpansion, SppForm, SppSynthesizer};
 use techmap::{AreaModel, Network, NodeId, NodeKind};
 
 use crate::cache::{cached_full_quotient, SharedQuotientCache};
-use crate::decompose::{combine_op, derive_strategy_divisor, ApproxStrategy};
+use crate::decompose::{
+    combine_op, derive_strategy_divisor, divisor_base, divisor_from_over_approximation,
+    ApproxStrategy,
+};
 use crate::error::BidecompError;
 use crate::operator::BinaryOp;
 use crate::oracle::Oracle;
@@ -229,6 +242,25 @@ pub struct RecursiveSynthesis {
     /// on every care minterm (it always should; the engine and the tests
     /// assert it).
     pub verified: bool,
+    /// How many 2-SPP syntheses the call requested and how many of them its
+    /// per-call memo answered.
+    pub memo: MemoCounts,
+}
+
+/// The 2-SPP syntheses one recursive synthesis requested, and how many of
+/// them its per-call memo answered without running the synthesizer.
+///
+/// `requested` counts every synthesis the recursion would run without the
+/// memo — the flat form, each candidate's complement base and widened
+/// function (for full-expansion divisors), `g_form` and `h_form` — so
+/// `requested − answered` syntheses actually ran. Both are a pure function
+/// of `(f, config, seed)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoCounts {
+    /// 2-SPP syntheses the recursion requested.
+    pub requested: u64,
+    /// Requests answered from the memo.
+    pub answered: u64,
 }
 
 impl RecursiveSynthesis {
@@ -325,17 +357,22 @@ impl RecursiveSynthesizer {
             return Err(BidecompError::MissingExternalDivisor);
         }
         let mut network = Network::new(f.num_vars());
-        let flat_form = self.synthesizer.synthesize(f);
+        let mut memo = Memo::new(&self.synthesizer);
+        let flat_form = memo.synthesize(f);
         let flat_area = self.area_model.spp_area(&flat_form);
-        let (tree, root) = self.node(f, &flat_form, flat_area, 0, seed, &mut network);
+        let (tree, root) = self.node(f, &flat_form, flat_area, 0, seed, &mut memo, &mut network);
         network.add_output(root);
         let mapped_area = self.area_model.mapper().map(&network).area;
         let verified = verify_network(f, &network, 0);
-        Ok(RecursiveSynthesis { network, tree, flat_form, flat_area, mapped_area, verified })
+        let memo = memo.counts;
+        Ok(RecursiveSynthesis { network, tree, flat_form, flat_area, mapped_area, verified, memo })
     }
 
     /// Synthesizes one tree node into `net`, returning the report subtree
-    /// and the root of the emitted logic.
+    /// and the root of the emitted logic. `f_form` must be
+    /// `memo.synthesize(f)`: the memo keys `f`'s full-expansion
+    /// over-approximation by `f` alone.
+    #[allow(clippy::too_many_arguments)]
     fn node(
         &self,
         f: &Isf,
@@ -343,6 +380,7 @@ impl RecursiveSynthesizer {
         flat_area: f64,
         depth: usize,
         seed: u64,
+        memo: &mut Memo<'_>,
         net: &mut Network,
     ) -> (DecompositionTree, NodeId) {
         let literals = f_form.literal_count();
@@ -382,8 +420,14 @@ impl RecursiveSynthesizer {
         let mut best: Option<Candidate> = None;
         for &(op, strategy) in &self.config.portfolio {
             let strategy = mix_strategy(strategy, seed);
-            let Ok(g) = derive_strategy_divisor(f, f_form, op, strategy, &self.synthesizer) else {
-                continue; // External is rejected before recursion starts.
+            let g = if strategy == ApproxStrategy::FullExpansion {
+                memo.full_expansion_divisor(f, f_form, op)
+            } else {
+                let Ok(g) = derive_strategy_divisor(f, f_form, op, strategy, &self.synthesizer)
+                else {
+                    continue; // External is rejected before recursion starts.
+                };
+                g
             };
             let Ok(h) = cached_full_quotient(self.cache.as_deref(), f, &g, op) else {
                 continue; // The strategy produced an invalid divisor for op.
@@ -394,8 +438,8 @@ impl RecursiveSynthesizer {
                     .unwrap_or_else(|e| panic!("{op}: oracle rejected a verified candidate: {e}"));
             }
             let g_isf = Isf::completely_specified(g);
-            let g_form = self.synthesizer.synthesize(&g_isf);
-            let h_form = self.synthesizer.synthesize(&h);
+            let g_form = memo.synthesize(&g_isf);
+            let h_form = memo.synthesize(&h);
             let area = self.area_model.bidecomposition_area(&g_form, &h_form, combine_op(op));
             if area + self.config.min_gain > flat_area {
                 continue; // No gain over the flat realization.
@@ -415,9 +459,9 @@ impl RecursiveSynthesizer {
         let g_area = self.area_model.spp_area(&c.g_form);
         let h_area = self.area_model.spp_area(&c.h_form);
         let (div_tree, div_node) =
-            self.node(&c.g_isf, &c.g_form, g_area, depth + 1, child_seed(seed, 0), net);
+            self.node(&c.g_isf, &c.g_form, g_area, depth + 1, child_seed(seed, 0), memo, net);
         let (quo_tree, quo_node) =
-            self.node(&c.h, &c.h_form, h_area, depth + 1, child_seed(seed, 1), net);
+            self.node(&c.h, &c.h_form, h_area, depth + 1, child_seed(seed, 1), memo, net);
         let root = net.combine(div_node, quo_node, combine_op(c.op));
         let tree = DecompositionTree::Branch {
             op: c.op,
@@ -440,6 +484,91 @@ struct Candidate {
     h: Isf,
     g_form: SppForm,
     h_form: SppForm,
+}
+
+/// The per-call memo of [`RecursiveSynthesizer::synthesize_seeded`]: the
+/// 2-SPP form of every ISF the recursion synthesizes, and the full-expansion
+/// over-approximation of every divisor base, both keyed by the ISF. AND and
+/// `⇏` at one node share one expansion, and a quotient that equals an ISF
+/// already synthesized (OR's complement base often *is* `⇏`'s quotient) is
+/// not synthesized again.
+///
+/// Exact: [`SppSynthesizer::synthesize`] is a pure function of the ISF, and
+/// every `f_form` handed to `node` is `synthesize(f)` of that node's ISF
+/// (the root's flat form, a winner's `g_form` and `h_form`), so the
+/// over-approximation is a pure function of the base ISF. Debug builds
+/// re-run the slow path on every hit and assert equality. Bounded: about
+/// ten entries per node that tries the portfolio, of which there are at
+/// most `2^max_depth − 1`, and dropped when the call returns.
+struct Memo<'a> {
+    synthesizer: &'a SppSynthesizer,
+    forms: HashMap<Isf, SppForm>,
+    over: HashMap<Isf, TruthTable>,
+    counts: MemoCounts,
+}
+
+impl<'a> Memo<'a> {
+    fn new(synthesizer: &'a SppSynthesizer) -> Self {
+        Memo {
+            synthesizer,
+            forms: HashMap::new(),
+            over: HashMap::new(),
+            counts: MemoCounts::default(),
+        }
+    }
+
+    /// `synthesizer.synthesize(f)`, answered from the memo when `f` was
+    /// synthesized before in this call.
+    fn synthesize(&mut self, f: &Isf) -> SppForm {
+        self.counts.requested += 1;
+        if let Some(form) = self.forms.get(f) {
+            self.counts.answered += 1;
+            debug_assert_eq!(*form, self.synthesizer.synthesize(f), "memoized 2-SPP form");
+            return form.clone();
+        }
+        let form = self.synthesizer.synthesize(f);
+        self.forms.insert(f.clone(), form.clone());
+        form
+    }
+
+    /// The [`ApproxStrategy::FullExpansion`] divisor of `op` for `f`, whose
+    /// 2-SPP form is `f_form`: what [`derive_strategy_divisor`] returns, with
+    /// the over-approximation of the divisor base memoized.
+    fn full_expansion_divisor(&mut self, f: &Isf, f_form: &SppForm, op: BinaryOp) -> TruthTable {
+        let base = divisor_base(f, op);
+        let over = match self.over.get(&*base) {
+            Some(over) => {
+                // A fresh derivation would synthesize the widened base, and
+                // first the complement base itself.
+                let skipped = if matches!(base, Cow::Owned(_)) { 2 } else { 1 };
+                self.counts.requested += skipped;
+                self.counts.answered += skipped;
+                debug_assert_eq!(
+                    *over,
+                    FullExpansion::new()
+                        .approximate(&self.synthesizer.synthesize(&base), &base, self.synthesizer)
+                        .g_table,
+                    "memoized full-expansion over-approximation"
+                );
+                over.clone()
+            }
+            None => {
+                let synthesized;
+                let base_form = match &base {
+                    Cow::Borrowed(_) => f_form,
+                    Cow::Owned(complement) => {
+                        synthesized = self.synthesize(complement);
+                        &synthesized
+                    }
+                };
+                let widened = FullExpansion::new().widen(base_form, &base);
+                let over = self.synthesize(&widened).to_truth_table();
+                self.over.insert(base.into_owned(), over.clone());
+                over
+            }
+        };
+        divisor_from_over_approximation(f, op, over)
+    }
 }
 
 /// Mixes the per-node seed into a [`ApproxStrategy::Seeded`] entry; other
@@ -590,6 +719,30 @@ mod tests {
         assert_eq!(plain.mapped_area.to_bits(), audited.mapped_area.to_bits());
         assert_eq!(plain.gate_count(), audited.gate_count());
         assert_eq!(plain.tree.depth(), audited.tree.depth());
+    }
+
+    #[test]
+    fn memo_answers_a_third_of_an_eight_cube_functions_syntheses() {
+        // Service-cold-shaped: 9 inputs, eight 2–3-literal cubes.
+        let cubes = [
+            "11-----0-",
+            "-0----0--",
+            "00---1---",
+            "-----01--",
+            "----01--1",
+            "-1--11---",
+            "--10-0---",
+            "--01--0--",
+        ];
+        let f = Isf::from_cover_str(9, &cubes, &[]).unwrap();
+        let result = RecursiveSynthesizer::default().synthesize(&f).unwrap();
+        assert!(result.verified);
+        // The figures of the recursion without the memo.
+        assert_eq!(result.gate_count(), 34);
+        assert_eq!(result.mapped_area, 60.0);
+        assert_eq!(result.flat_area, 60.0);
+        let MemoCounts { requested, answered } = result.memo;
+        assert!(3 * answered >= requested, "{answered} of {requested} from the memo");
     }
 
     #[test]

@@ -1437,11 +1437,12 @@ pub fn table_to_hex(t: &TruthTable) -> String {
 /// Describes the problem (wrong length, non-hex digits, set padding bits)
 /// in a protocol-error string.
 pub fn table_from_hex(hex: &str, num_vars: usize) -> Result<TruthTable, String> {
-    // Reject non-ASCII before slicing at fixed byte offsets: a multi-byte
-    // character straddling a chunk boundary would otherwise panic the
-    // connection's reader thread instead of producing a protocol error.
-    if !hex.is_ascii() {
-        return Err("table hex must be ASCII hex digits".to_string());
+    // Accept hex digits only, before slicing at fixed byte offsets: a
+    // multi-byte character straddling a chunk boundary would otherwise panic
+    // the connection's reader thread, and `u64::from_str_radix` takes a
+    // leading `+`, so "+000000000000001" would parse as the word 1.
+    if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err("table hex must be hex digits only (0-9, a-f, A-F)".to_string());
     }
     let words_needed = (1usize << num_vars).div_ceil(64);
     if hex.len() != words_needed * 16 {
@@ -1608,6 +1609,10 @@ mod tests {
         let sneaky = format!("{}é{}", "0".repeat(15), "0".repeat(15));
         assert_eq!(sneaky.len(), 32);
         assert!(table_from_hex(&sneaky, 7).is_err(), "non-ASCII");
+        // `u64::from_str_radix` alone would read a leading sign.
+        assert!(table_from_hex("+000000000000001", 4).is_err(), "plus sign");
+        assert!(table_from_hex("-000000000000001", 4).is_err(), "minus sign");
+        assert!(table_from_hex("000000000000000 ", 4).is_err(), "space");
         // 3 vars use 8 bits; a set bit 9 is beyond the arity.
         assert!(table_from_hex("0000000000000100", 3).is_err(), "padding bit");
         assert!(table_from_hex(&"0".repeat(16), 3).is_ok());

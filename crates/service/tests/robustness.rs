@@ -1,7 +1,7 @@
 //! The full error taxonomy, end to end over real sockets: overload
 //! shedding (which never touches the cache), deadlines, injected panics, slow
-//! clients, over-long and deeply nested lines, the connection cap and a
-//! draining shutdown — each asserting the exact `error` string and that the
+//! clients, over-long and deeply nested lines, signed hex tables, the
+//! connection cap and a draining shutdown — each asserting the exact `error` string and that the
 //! connection (or at least the server) survives — plus the configuration
 //! `Server::bind` refuses.
 
@@ -316,6 +316,32 @@ fn deeply_nested_json_is_a_protocol_error() {
     assert!(ok_field(&stats), "the connection must survive: {stats}");
     assert_eq!(u64_field(&stats, "errors"), 1, "{stats}");
     assert_eq!(u64_field(&stats, "panics"), 0, "{stats}");
+
+    client.roundtrip(r#"{"verb":"shutdown"}"#);
+    drop(client);
+    handle.join().expect("server thread");
+}
+
+/// A signed hex word is a protocol error, not a table: `u64::from_str_radix`
+/// accepts a leading `+`, so the parser must reject it before parsing.
+#[test]
+fn signed_hex_tables_are_rejected() {
+    let (addr, handle) = start_server(ServiceConfig::default());
+    let mut client = Client::connect(addr);
+
+    for verb in ["synthesize", "decompose"] {
+        let request = format!(
+            r#"{{"verb":"{verb}","num_vars":4,"f_on":"+000000000000001","no_cache":true}}"#
+        );
+        let response = client.roundtrip(&request);
+        assert!(!ok_field(&response), "{verb} served a signed table: {response}");
+        let error = str_field(&response, "error");
+        assert_eq!(error, "table hex must be hex digits only (0-9, a-f, A-F)", "{response}");
+    }
+
+    let stats = client.roundtrip(r#"{"verb":"stats"}"#);
+    assert!(ok_field(&stats), "the connection must survive: {stats}");
+    assert_eq!(u64_field(&stats, "errors"), 2, "{stats}");
 
     client.roundtrip(r#"{"verb":"shutdown"}"#);
     drop(client);

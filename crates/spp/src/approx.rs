@@ -145,28 +145,30 @@ impl FullExpansion {
         FullExpansion
     }
 
-    /// Approximates `f`: every pseudoproduct of `form` is expanded (each of
-    /// its factors dropped in turn), the off-set minterms those expansions
-    /// would cover are moved to the dc-set, and the function is re-synthesized
-    /// with the extended dc-set using `synthesizer`.
+    /// Widens `f` by the expansions of `form`: every pseudoproduct of `form`
+    /// is expanded (each of its factors dropped in turn), and the off-set
+    /// minterms those expansions would cover are moved to the dc-set.
+    pub fn widen(&self, form: &SppForm, f: &Isf) -> Isf {
+        let mut extra_dc = TruthTable::zero(form.num_vars());
+        for pp in form.pseudoproducts() {
+            for fi in 0..pp.num_factors() {
+                extra_dc |= &pp.expand(fi).to_truth_table();
+            }
+        }
+        // Off-set minterms touched by some expansion become don't-cares.
+        let extra_dc = &extra_dc & &f.off();
+        f.widen_dc(&extra_dc)
+    }
+
+    /// Approximates `f`: [`FullExpansion::widen`] by the expansions of
+    /// `form`, then re-synthesizes the widened function with `synthesizer`.
     pub fn approximate(
         &self,
         form: &SppForm,
         f: &Isf,
         synthesizer: &SppSynthesizer,
     ) -> ApproximationOutcome {
-        let n = form.num_vars();
-        let mut extra_dc = TruthTable::zero(n);
-        for pp in form.pseudoproducts() {
-            for fi in 0..pp.num_factors() {
-                let expanded = pp.expand(fi);
-                extra_dc = &extra_dc | &expanded.to_truth_table();
-            }
-        }
-        // Off-set minterms touched by some expansion become don't-cares.
-        let extra_dc = &extra_dc & &f.off();
-        let widened = f.widen_dc(&extra_dc);
-        let g = synthesizer.synthesize(&widened);
+        let g = synthesizer.synthesize(&self.widen(form, f));
         ApproximationOutcome::from_form(g, f)
     }
 }
@@ -264,6 +266,32 @@ mod tests {
         let (_, form) = fig2();
         let f3 = Isf::from_cover_str(3, &["1-1"], &[]).unwrap();
         ApproximationOutcome::from_form(form, &f3);
+    }
+
+    #[test]
+    fn approximate_is_the_synthesis_of_the_widened_function() {
+        let synth = SppSynthesizer::new();
+        let same = |form: &SppForm, f: &Isf| {
+            let out = FullExpansion::new().approximate(form, f, &synth);
+            let widened = FullExpansion::new().widen(form, f);
+            assert_eq!(out.g, synth.synthesize(&widened), "f = {f:?}");
+            assert!(f.dc().is_subset_of(widened.dc()) && widened.on() == f.on());
+        };
+        let (f, form) = fig2();
+        same(&form, &f);
+        let mut lcg = 0xA9_u64;
+        let mut next = move || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg >> 33
+        };
+        for i in 0..20 {
+            let n = 5 + i % 5;
+            let on = TruthTable::from_fn(n, |_| next() % 3 == 0);
+            let dc = TruthTable::from_fn(n, |_| next() % 3 == 0).difference(&on);
+            assert!(!dc.is_zero(), "case {i} must carry don't-cares");
+            let f = Isf::new(on, dc).unwrap();
+            same(&synth.synthesize(&f), &f);
+        }
     }
 
     #[test]
