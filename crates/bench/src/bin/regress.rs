@@ -44,9 +44,12 @@
 //!   counts must equal twice the client-side workload counts (both arms
 //!   replay the same workload; any gap means a request was lost or
 //!   double-counted), the cache accounting is pinned (`cache.hits +
-//!   cache.misses` equals the cached arm's request count, because each
-//!   cached request does exactly one lookup and the `no_cache` arm none,
-//!   and `cache.hits` equals the cached arm's client-side hits), and the
+//!   cache.misses + cache.not_admitted` equals the cached arm's request
+//!   count, because each cached request is either turned away by the
+//!   doorkeeper or does exactly one lookup and the `no_cache` arm touches
+//!   neither, and `cache.hits` equals the cached arm's client-side hits),
+//!   `cache.not_admitted` is compared exactly (the doorkeeper turns each
+//!   distinct NPN signature of the arm away exactly once), and the
 //!   server-side p99 sits under a wide
 //!   `baseline × (1 + 4 × tolerance)` ceiling (absolute latencies differ
 //!   across hosts far more than same-process ratios do). The queue-free
@@ -678,15 +681,30 @@ fn gate_scrape(
     }
 
     // Cache accounting: the cache sits in front of whole requests, so each
-    // cached-arm request is exactly one lookup and the no_cache arm does
-    // none; every server-side hit is a `cache: hit` reply.
+    // cached-arm request is either turned away by the doorkeeper (the first
+    // sighting of its NPN signature) or exactly one lookup, and the no_cache
+    // arm touches neither; every server-side hit is a `cache: hit` reply.
     let hits = counter(cur_scrape, "cache.hits", &args.current)?;
     let lookups = hits + counter(cur_scrape, "cache.misses", &args.current)?;
+    let not_admitted = counter(cur_scrape, "cache.not_admitted", &args.current)?;
     let requests = u64_field(current, "requests", &args.current)?;
-    println!("cache lookups: {lookups} for {requests} cached-arm request(s), {hits} hit(s)");
-    if lookups != requests {
+    println!(
+        "cache lookups: {lookups} for {requests} cached-arm request(s), {hits} hit(s), \
+         {not_admitted} not admitted"
+    );
+    if lookups + not_admitted != requests {
         failures.push(format!(
-            "the server made {lookups} cache lookup(s), the cached arm sent {requests} request(s)"
+            "cache accounting: cache.hits + cache.misses + cache.not_admitted = {lookups} + \
+             {not_admitted}, the cached arm sent {requests} request(s)"
+        ));
+    }
+    // The doorkeeper turns each distinct signature of the arm away exactly
+    // once, whatever the interleaving (its test-and-set is one atomic word
+    // operation), so the count is deterministic and compared exactly.
+    let base_not_admitted = counter(base_scrape, "cache.not_admitted", &args.baseline)?;
+    if not_admitted != base_not_admitted {
+        failures.push(format!(
+            "cache.not_admitted differs: baseline {base_not_admitted} vs current {not_admitted}"
         ));
     }
     let cached_arm =
@@ -932,6 +950,75 @@ fn main() -> ExitCode {
                 eprintln!("regress: FAIL — {failure}");
             }
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SERVICE_BASELINE: &str = include_str!("../../../../BENCH_service_baseline.json");
+
+    fn args() -> Args {
+        Args {
+            baseline: "baseline".to_string(),
+            current: "current".to_string(),
+            tolerance: 0.35,
+            node_tolerance: 0.05,
+        }
+    }
+
+    fn baseline() -> Value {
+        Value::parse(SERVICE_BASELINE).expect("the committed service baseline parses")
+    }
+
+    /// A copy of the committed service baseline with one scrape counter
+    /// moved by `delta`.
+    fn perturbed(name: &str, delta: i64) -> Value {
+        let mut doc = baseline();
+        let cell =
+            ["scrape", "counters", name].into_iter().fold(&mut doc, |value, key| match value {
+                Value::Object(fields) => {
+                    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+                }
+                other => panic!("{key}: not an object: {other}"),
+            });
+        let value = cell.as_u64().expect("a counter") as i64 + delta;
+        *cell = bidecomp_bench::json::num(value as u64);
+        doc
+    }
+
+    fn service_failures(current: &Value) -> Vec<String> {
+        run_service(&args(), &baseline(), current).expect("the documents are well-formed")
+    }
+
+    #[test]
+    fn the_committed_service_baseline_passes_against_itself() {
+        assert_eq!(service_failures(&baseline()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn not_admitted_is_compared_exactly() {
+        for delta in [-1, 1] {
+            let failures = service_failures(&perturbed("cache.not_admitted", delta));
+            assert!(
+                failures.iter().any(|f| f.starts_with("cache.not_admitted differs")),
+                "delta {delta}: {failures:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cache_accounting_must_balance() {
+        for delta in [-1, 1] {
+            let failures = service_failures(&perturbed("cache.misses", delta));
+            assert!(
+                failures
+                    .iter()
+                    .any(|f| f.starts_with("cache accounting") && f.contains("cache.misses")),
+                "delta {delta}: {failures:?}"
+            );
         }
     }
 }

@@ -11,11 +11,16 @@
 //! The cache is value-generic; the service stores [`crate::CacheValue`]
 //! (quotient ISFs and synthesis outcomes) keyed by
 //! [`crate::CacheKey`](NPN-canonical forms), but nothing here knows that.
+//!
+//! [`Doorkeeper`] is the admission filter in front of it: a fixed-size,
+//! lock-free set of recently sighted hashes that admits a key on its second
+//! sighting, so one-shot keys never reach the store.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Point-in-time counters of a [`ShardedCache`] (monotonic except
 /// `entries`, which is the current population).
@@ -285,6 +290,70 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 }
 
+/// Doorkeeper bits per cache entry: 32 KiB at a 65,536-entry cache.
+const DOORKEEPER_BITS_PER_ENTRY: usize = 4;
+
+/// The admission filter of TinyLFU (Einziger, Friedman and Manes, ACM ToS
+/// 2017): a Bloom filter of the hashes sighted since the last reset, which
+/// admits a key the second time it is sighted.
+///
+/// It is blocked: the three probe bits of a hash lie in one `u64`, set by a
+/// single `fetch_or`, so of two threads sighting a new hash at once exactly
+/// one is told it is new. The bit array is sized once from the cache
+/// capacity and never grows; after `capacity` sightings it is cleared, so
+/// admission reflects recent traffic and the false-positive rate stays low.
+///
+/// ```rust
+/// use service::cache::Doorkeeper;
+///
+/// let doorkeeper = Doorkeeper::new(1024);
+/// assert!(!doorkeeper.sight(42), "first sighting");
+/// assert!(doorkeeper.sight(42), "second sighting");
+/// ```
+#[derive(Debug)]
+pub struct Doorkeeper {
+    /// The bit array, allocated on the first sighting so that binding a
+    /// server does not pay for zeroing it.
+    words: OnceLock<Box<[AtomicU64]>>,
+    len: usize,
+    sightings: AtomicU64,
+    reset_every: u64,
+}
+
+impl Doorkeeper {
+    /// A doorkeeper for a cache of `capacity` entries: four bits per entry,
+    /// rounded up to a power of two of 64-bit words, cleared every
+    /// `capacity` sightings.
+    pub fn new(capacity: usize) -> Self {
+        Doorkeeper {
+            words: OnceLock::new(),
+            len: (capacity.max(1) * DOORKEEPER_BITS_PER_ENTRY).div_ceil(64).next_power_of_two(),
+            sightings: AtomicU64::new(0),
+            reset_every: capacity.max(1) as u64,
+        }
+    }
+
+    /// Records a sighting of `hash` and tells whether it was sighted before
+    /// since the last reset (Bloom false positives aside).
+    pub fn sight(&self, hash: u64) -> bool {
+        let words = self.words.get_or_init(|| (0..self.len).map(|_| AtomicU64::new(0)).collect());
+        let word = &words[(hash >> 32) as usize & (self.len - 1)];
+        let mask = 1 << (hash & 63) | 1 << (hash >> 6 & 63) | 1 << (hash >> 12 & 63);
+        let seen = word.fetch_or(mask, Ordering::Relaxed) & mask == mask;
+        if (self.sightings.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(self.reset_every) {
+            for word in words.iter() {
+                word.store(0, Ordering::Relaxed);
+            }
+        }
+        seen
+    }
+
+    /// Bytes of the bit array (fixed at construction).
+    pub fn bytes(&self) -> usize {
+        self.len * std::mem::size_of::<AtomicU64>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,6 +476,58 @@ mod tests {
         let cache: ShardedCache<u32, u32> = ShardedCache::new(100, 3);
         assert_eq!(cache.stats().shards, 4);
         assert!(cache.stats().capacity >= 100);
+    }
+
+    #[test]
+    fn doorkeeper_admits_on_second_sight_in_fixed_memory() {
+        let doorkeeper = Doorkeeper::new(65_536);
+        assert_eq!(doorkeeper.bytes(), 32 * 1024);
+        let hash = |k: u64| {
+            let mut hasher = DefaultHasher::new();
+            k.hash(&mut hasher);
+            hasher.finish()
+        };
+        let first: Vec<bool> = (0..1000).map(|k| doorkeeper.sight(hash(k))).collect();
+        assert!(first.iter().all(|&seen| !seen), "a fresh filter has seen nothing");
+        assert!((0..1000).all(|k| doorkeeper.sight(hash(k))), "every key is seen the second time");
+        // Sightings never grow the array.
+        for k in 0..50_000 {
+            doorkeeper.sight(hash(k));
+        }
+        assert_eq!(doorkeeper.bytes(), 32 * 1024);
+        assert_eq!(Doorkeeper::new(100).bytes(), 8 * 8, "400 bits round up to 8 words");
+    }
+
+    #[test]
+    fn doorkeeper_resets_after_capacity_sightings() {
+        let capacity = 64;
+        let doorkeeper = Doorkeeper::new(capacity);
+        assert!(!doorkeeper.sight(7));
+        // Sightings 2..=capacity: the last one clears the filter.
+        for _ in 1..capacity - 1 {
+            assert!(doorkeeper.sight(7));
+        }
+        assert!(doorkeeper.sight(7), "sighting number {capacity} still sees the key");
+        assert!(!doorkeeper.sight(7), "the reset forgot the key");
+        assert!(doorkeeper.sight(7));
+    }
+
+    #[test]
+    fn doorkeeper_tells_exactly_one_racing_thread_a_key_is_new() {
+        let doorkeeper = Doorkeeper::new(1 << 20);
+        let firsts = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for key in 0..2_000u64 {
+                        if !doorkeeper.sight(key.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+                            firsts.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(firsts.into_inner(), 2_000);
     }
 
     #[test]

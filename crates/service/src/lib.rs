@@ -15,14 +15,18 @@
 //! * [`cache`] — a lock-striped, sharded, bounded store with CLOCK eviction
 //!   and hit/miss/eviction statistics;
 //! * [`NpnCache`] — the two glued together: an NPN-keyed memo of completed
-//!   request results (`synthesize` networks and `decompose` quotients). The
-//!   server canonicalizes each request's function once and passes the
-//!   [`Canonical`] to its lookup and store. The cache sits in front
-//!   of whole requests only: a canonicalization costs about 0.03 ms at 9
-//!   inputs and 0.16 ms at 12, a Table II quotient under a microsecond, and
-//!   the quotient subproblems inside a synthesis almost never recur (no
-//!   hit in 600 lookups on 200 never-repeated 9–12-input functions), so the
-//!   recursion recomputes them;
+//!   request results (`synthesize` networks and `decompose` quotients),
+//!   behind a TinyLFU-style [`cache::Doorkeeper`] keyed by the cheap
+//!   [`npn::signature`]. The server admits a request to the cache only on
+//!   the second sighting of its function's signature: a first sighting is
+//!   computed as if `no_cache` were set, never canonicalized, looked up or
+//!   stored. An admitted request's function is canonicalized once, and the
+//!   [`Canonical`] is passed to its lookup and store. The cache sits in
+//!   front of whole requests only: a canonicalization costs about 0.03 ms
+//!   at 9 inputs and 0.16 ms at 12, a Table II quotient under a
+//!   microsecond, and the quotient subproblems inside a synthesis almost
+//!   never recur (no hit in 600 lookups on 200 never-repeated 9–12-input
+//!   functions), so the recursion recomputes them;
 //! * [`server`] — a persistent localhost TCP service speaking line-delimited
 //!   JSON ([`json`]), fronting a request queue drained by the server's own
 //!   worker threads, with `decompose` / `synthesize` / `stats` / `metrics` /
@@ -48,8 +52,12 @@ pub mod json;
 pub mod npn;
 pub mod server;
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use bidecomp::{BinaryOp, QuotientCache};
 use boolfunc::{Isf, TruthTable};
+use cache::Doorkeeper;
 use techmap::Network;
 
 pub use cache::{CacheStats, ShardedCache};
@@ -111,11 +119,13 @@ pub struct CachedSynthesis {
     pub branches: usize,
 }
 
-/// The NPN-canonical result cache: [`ShardedCache`] keyed by [`CacheKey`].
+/// The NPN-canonical result cache: [`ShardedCache`] keyed by [`CacheKey`],
+/// with a [`cache::Doorkeeper`] for admission.
 ///
-/// Every method takes the queried function's [`Canonical`] form, so a
-/// caller canonicalizes once per request however many times it looks up
-/// and stores.
+/// Every lookup and store takes the queried function's [`Canonical`] form,
+/// so a caller canonicalizes once per request however many times it looks
+/// up and stores. [`NpnCache::admit`] is the cheap check to make before
+/// canonicalizing; the lookup and store methods do not consult it.
 ///
 /// ```rust
 /// use bidecomp::{full_quotient, BinaryOp};
@@ -137,24 +147,58 @@ pub struct CachedSynthesis {
 #[derive(Debug)]
 pub struct NpnCache {
     store: ShardedCache<CacheKey, CacheValue>,
+    doorkeeper: Doorkeeper,
+    not_admitted: obs::Counter,
 }
 
 impl NpnCache {
     /// Creates a cache with the given total capacity and stripe count (see
-    /// [`ShardedCache::new`]).
+    /// [`ShardedCache::new`]), and a doorkeeper sized from the capacity
+    /// (see [`cache::Doorkeeper::new`]).
     pub fn new(capacity: usize, shards: usize) -> Self {
-        NpnCache { store: ShardedCache::new(capacity, shards) }
+        NpnCache {
+            store: ShardedCache::new(capacity, shards),
+            doorkeeper: Doorkeeper::new(capacity),
+            not_admitted: obs::Counter::new(),
+        }
     }
 
     /// Like [`NpnCache::new`], but the store's counters are registered in
-    /// `registry` under `cache.*` (see [`ShardedCache::with_registry`]).
+    /// `registry` under `cache.*` (see [`ShardedCache::with_registry`]), and
+    /// the count of requests turned away by [`NpnCache::admit`] as
+    /// `cache.not_admitted`.
     pub fn with_registry(capacity: usize, shards: usize, registry: &obs::Registry) -> Self {
-        NpnCache { store: ShardedCache::with_registry(capacity, shards, registry) }
+        NpnCache {
+            store: ShardedCache::with_registry(capacity, shards, registry),
+            doorkeeper: Doorkeeper::new(capacity),
+            not_admitted: registry.counter("cache.not_admitted"),
+        }
     }
 
     /// Counter snapshot of the underlying store.
     pub fn stats(&self) -> CacheStats {
         self.store.stats()
+    }
+
+    /// Sights `f`'s [`npn::signature`] at the doorkeeper: `true` when the
+    /// signature was sighted before, so a request for `f` should
+    /// canonicalize, look up and store; `false` (counted in
+    /// [`NpnCache::not_admitted`]) on a first sighting, when it should
+    /// compute without the cache. NPN-equivalent functions share a
+    /// signature, so any member of a class admits the next.
+    pub fn admit(&self, f: &Isf) -> bool {
+        let mut hasher = DefaultHasher::new();
+        npn::signature(f).hash(&mut hasher);
+        let admitted = self.doorkeeper.sight(hasher.finish());
+        if !admitted {
+            self.not_admitted.inc();
+        }
+        admitted
+    }
+
+    /// Requests [`NpnCache::admit`] turned away.
+    pub fn not_admitted(&self) -> u64 {
+        self.not_admitted.get()
     }
 
     /// Drops every entry (counters survive).
@@ -302,6 +346,20 @@ mod tests {
         // every transformed query lands on the stored key.
         assert!(hits >= 100, "only {hits} of 120 transformed lookups hit");
         assert_eq!(cache.stats().hits, hits);
+    }
+
+    #[test]
+    fn admission_is_on_second_sight_of_the_npn_class() {
+        let cache = NpnCache::new(1024, 4);
+        let f = Isf::from_cover_str(5, &["11-0-", "-1-11", "0--10"], &["1-1-1"]).unwrap();
+        let variant = NpnTransform::new(vec![4, 2, 0, 1, 3], 0b10110, true).apply_isf(&f);
+        assert!(!cache.admit(&f), "first sighting");
+        assert!(cache.admit(&variant), "an NPN variant is a second sighting");
+        assert!(cache.admit(&f));
+        assert_eq!(cache.not_admitted(), 1);
+        // Admission moves no store counter.
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (0, 0, 0));
     }
 
     #[test]

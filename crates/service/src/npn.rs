@@ -34,6 +34,12 @@
 //!   materialized on the packed words too: input negations are block or
 //!   word swaps, the permutation at most `n − 1` variable transpositions.
 //!
+//! [`signature`] is the cheap companion of [`canonicalize`]: an
+//! [`NpnSignature`] built from the same cofactor weights the greedy search
+//! reads, equal for every member of an NPN class, at a few microseconds
+//! against the search's tens to hundreds. The service's admission filter
+//! keys on it, so a function seen for the first time is never canonicalized.
+//!
 //! Every transform keeps a per-minterm oracle
 //! ([`NpnTransform::permute_table_per_minterm`],
 //! [`NpnTransform::apply_isf_per_minterm`], [`canonicalize_per_minterm`])
@@ -541,6 +547,62 @@ fn cofactor_weight(t: &TruthTable, var: usize) -> u64 {
     }
 }
 
+/// A cheap NPN invariant of an ISF (see [`signature`]). Equal canonical
+/// keys imply equal signatures; the converse need not hold.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NpnSignature {
+    /// The arity, the on/dc/off weights, then the sorted per-variable
+    /// cofactor pairs, four words each.
+    words: Box<[u64]>,
+}
+
+/// The NPN signature of `f`: the on/dc/off weights and the sorted multiset
+/// of per-variable cofactor pairs `{(|on ∩ x̄ᵢ|, |dc ∩ x̄ᵢ|), (|on ∩ xᵢ|,
+/// |dc ∩ xᵢ|)}`, each pair unordered. Input negations swap a pair's halves,
+/// permutations reorder the multiset and the output complement swaps on and
+/// off, so the smaller of the two output polarities' encodings is invariant
+/// over the NPN class. It costs `2n` word-parallel cofactor counts.
+///
+/// ```rust
+/// use boolfunc::Isf;
+/// use service::npn::signature;
+///
+/// # fn main() -> Result<(), boolfunc::BoolFuncError> {
+/// let and = Isf::from_cover_str(3, &["11-"], &[])?;
+/// let nor = Isf::from_cover_str(3, &["0-0"], &[])?;   // x0' x2'
+/// let xor = Isf::from_cover_str(3, &["10-", "01-"], &[])?;
+/// assert_eq!(signature(&and), signature(&nor));
+/// assert_ne!(signature(&and), signature(&xor));
+/// # Ok(())
+/// # }
+/// ```
+pub fn signature(f: &Isf) -> NpnSignature {
+    let n = f.num_vars();
+    let (on, dc) = (f.on().count_ones(), f.dc().count_ones());
+    let off = f.num_minterms_off();
+    let half = (1u64 << n) / 2;
+    let cofactors: Vec<(u64, u64)> =
+        (0..n).map(|i| (cofactor_weight(f.on(), i), cofactor_weight(f.dc(), i))).collect();
+    let encode = |output_neg: bool| {
+        let (base, other) = if output_neg { (off, on) } else { (on, off) };
+        let mut pairs: Vec<[u64; 4]> = cofactors
+            .iter()
+            .map(|&(on1, dc1)| {
+                let base1 = if output_neg { half - on1 - dc1 } else { on1 };
+                let one = (base1, dc1);
+                let zero = (base - base1, dc - dc1);
+                let (lo, hi) = if one <= zero { (one, zero) } else { (zero, one) };
+                [lo.0, lo.1, hi.0, hi.1]
+            })
+            .collect();
+        pairs.sort_unstable();
+        let mut words = vec![n as u64, base, dc, other];
+        words.extend(pairs.into_iter().flatten());
+        words
+    };
+    NpnSignature { words: encode(false).min(encode(true)).into_boxed_slice() }
+}
+
 /// The candidate polarity/order skeletons of the greedy search. Every
 /// decision is made from equivariant statistics (cofactor weights), and
 /// every tie *forks* instead of guessing, so the candidate set — and hence
@@ -917,6 +979,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn signature_is_invariant_over_the_npn_class() {
+        let mut rng = DetRng::seed_from_u64(0x5160_A7E5);
+        for n in 1..=14usize {
+            for case in 0..4 {
+                let f = if case < 2 || n < 3 {
+                    random_isf(&mut rng, n, true)
+                } else {
+                    cube_isf(&mut rng, n)
+                };
+                let expected = signature(&f);
+                for k in 0..6 {
+                    let mut t = random_transform(&mut rng, n);
+                    t.output_neg = k % 2 == 1;
+                    assert_eq!(signature(&t.apply_isf(&f)), expected, "n={n} case={case} {t:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_canonical_keys_have_equal_signatures() {
+        let mut rng = DetRng::seed_from_u64(0x00C0_FFEE);
+        let mut corpus = Vec::new();
+        for n in 3..=12usize {
+            for case in 0..4 {
+                let f = if case < 2 {
+                    random_isf(&mut rng, n, case == 0)
+                } else {
+                    cube_isf(&mut rng, n)
+                };
+                for _ in 0..2 {
+                    corpus.push(random_transform(&mut rng, n).apply_isf(&f));
+                }
+                corpus.push(f);
+            }
+        }
+        let keyed: Vec<(CanonicalKey, NpnSignature)> =
+            corpus.iter().map(|f| (canonicalize(f).key, signature(f))).collect();
+        let mut equal_keys = 0;
+        for (i, (key, sig)) in keyed.iter().enumerate() {
+            for (other_key, other_sig) in &keyed[i + 1..] {
+                if key == other_key {
+                    equal_keys += 1;
+                    assert_eq!(sig, other_sig, "equal keys {key:?}");
+                }
+            }
+        }
+        // Three members of each of 40 classes: up to 120 pairs, plus chance ones.
+        assert!(equal_keys >= 100, "only {equal_keys} pairs of equal keys in the corpus");
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   `flat_area` is the canonical representative's; every rewired network
 //!   is re-verified exhaustively before it is reported.
 //! * `stats` — server uptime, queue/batch counters, per-verb totals, the
-//!   cache counters and the robustness counters (`sheds`, `timeouts`,
+//!   cache counters (with `not_admitted`, the requests the doorkeeper
+//!   turned away) and the robustness counters (`sheds`, `timeouts`,
 //!   `panics`, `rejected_connections`, `slow_clients`, `line_overflows`).
 //! * `metrics` — the full observability snapshot
 //!   (`"schema":"bidecomp-metrics-v1"`): every counter, gauge and latency
@@ -87,9 +88,13 @@
 //! reorders by per-connection sequence number, so the wire still answers
 //! strictly in request order. The NPN cache ([`crate::NpnCache`]) is shared by
 //! every worker and sits in front of whole requests only, and only workers
-//! touch it: a cached request canonicalizes its function once, then does
-//! exactly one lookup and, on a miss, one store, while a `no_cache` request
-//! touches the cache in no way. Each worker keeps one recursive synthesizer,
+//! touch it. A cached request first sights its function's NPN signature at
+//! the cache's doorkeeper, after a `decompose`'s divisor has been checked.
+//! On the signature's first sighting the request is computed without the
+//! cache (no canonicalization, lookup or store) and replied `miss`; on a
+//! later one it canonicalizes its function once, then does exactly one
+//! lookup and, on a miss, one store. A `no_cache` request touches neither
+//! the doorkeeper nor the store. Each worker keeps one recursive synthesizer,
 //! which recomputes the quotient subproblems of a synthesis rather than looking
 //! them up: a Table II quotient takes under a microsecond at 9–12 inputs, an
 //! NPN canonicalization 0.03–0.16 ms, and on never-repeated 9–12-input
@@ -520,15 +525,21 @@ impl ServiceState {
         25 + 3 * queue_depth as u64 + splitmix64(&mut x) % 25
     }
 
-    /// The cache view of a request for `f`: `None` when caching is off or
-    /// the request asked for `no_cache`, which then touches the cache in no
-    /// way. Otherwise `f` is canonicalized here, once for the request.
-    fn cache_view(&self, f: &Isf, no_cache: bool) -> Option<CacheView<'_>> {
-        let cache = self.cache.as_deref().filter(|_| !no_cache)?;
+    /// How a request for `f` meets the cache. With caching off or
+    /// `no_cache` set it touches neither the doorkeeper nor the store. A
+    /// first sighting of `f`'s signature is computed the same way. Otherwise
+    /// `f` is canonicalized here, once for the request.
+    fn cache_route(&self, f: &Isf, no_cache: bool) -> Route<'_> {
+        let Some(cache) = self.cache.as_deref().filter(|_| !no_cache) else {
+            return Route::Bypass;
+        };
+        if !cache.admit(f) {
+            return Route::NotAdmitted;
+        }
         let start = Instant::now();
         let canon = canonicalize(f);
         self.counters.engine_canonicalize_nanos.add(start.elapsed().as_nanos() as u64);
-        Some(CacheView { cache, canon })
+        Route::Cached(cache, canon)
     }
 
     /// The fault dice for the next compute request (all-false without an
@@ -543,11 +554,26 @@ impl ServiceState {
     }
 }
 
-/// The shared cache together with the canonical form of the request's
-/// function.
-struct CacheView<'a> {
-    cache: &'a NpnCache,
-    canon: Canonical,
+/// How a request meets the cache (see [`ServiceState::cache_route`]).
+enum Route<'a> {
+    /// Caching is off or the request set `no_cache`: replied `bypass`.
+    Bypass,
+    /// The first sighting of the function's signature: computed without the
+    /// cache, replied `miss`.
+    NotAdmitted,
+    /// The shared cache and the canonical form of the request's function:
+    /// one lookup, and one store on a miss.
+    Cached(&'a NpnCache, Canonical),
+}
+
+impl Route<'_> {
+    /// The reply's `cache` field for an answer computed, not looked up.
+    fn computed_status(&self) -> &'static str {
+        match self {
+            Route::Bypass => "bypass",
+            Route::NotAdmitted | Route::Cached(..) => "miss",
+        }
+    }
 }
 
 /// The persistent decomposition service. Bind, then [`Server::run`] until a
@@ -1087,17 +1113,8 @@ fn handle(
             if inject_panic {
                 panic!("{INJECTED_PANIC_MESSAGE}");
             }
-            let view = state.cache_view(f, *no_cache);
-            let result = handle_decompose(
-                state,
-                f,
-                g.as_ref(),
-                *seed,
-                *op,
-                view.as_ref(),
-                *tables,
-                deadline,
-            );
+            let result =
+                handle_decompose(state, f, g.as_ref(), *seed, *op, *no_cache, *tables, deadline);
             finish(state, result, &request.id)
         }
         Payload::Synthesize { f, no_cache } => {
@@ -1105,8 +1122,7 @@ fn handle(
             if inject_panic {
                 panic!("{INJECTED_PANIC_MESSAGE}");
             }
-            let view = state.cache_view(f, *no_cache);
-            let result = handle_synthesize(state, worker, f, view.as_ref(), deadline);
+            let result = handle_synthesize(state, worker, f, *no_cache, deadline);
             finish(state, result, &request.id)
         }
         Payload::Stats => {
@@ -1139,7 +1155,7 @@ fn handle_decompose(
     g: Option<&TruthTable>,
     seed: u64,
     op: BinaryOp,
-    view: Option<&CacheView>,
+    no_cache: bool,
     tables: bool,
     deadline: Option<Instant>,
 ) -> Result<Value, RequestError> {
@@ -1147,12 +1163,14 @@ fn handle_decompose(
         Some(g) => g.clone(),
         None => seeded_divisor(f, op, seed),
     };
+    // An invalid divisor is rejected before the request meets the cache.
     if !is_valid_divisor(f, &g, op) {
         return Err(format!("divisor violates the Table II side condition of {op}").into());
     }
+    let route = state.cache_route(f, no_cache);
     let start = Instant::now();
-    let (h, cache_status) = match view {
-        Some(CacheView { cache, canon }) => match cache.lookup_quotient(canon, &g, op) {
+    let (h, cache_status) = match &route {
+        Route::Cached(cache, canon) => match cache.lookup_quotient(canon, &g, op) {
             Some(h) => (h, "hit"),
             None => {
                 let h = full_quotient(f, &g, op).map_err(|e| e.to_string())?;
@@ -1160,7 +1178,7 @@ fn handle_decompose(
                 (h, "miss")
             }
         },
-        None => (full_quotient(f, &g, op).map_err(|e| e.to_string())?, "bypass"),
+        _ => (full_quotient(f, &g, op).map_err(|e| e.to_string())?, route.computed_status()),
     };
     state.counters.engine_quotient_nanos.add(start.elapsed().as_nanos() as u64);
     // The quotient itself is cheap; verification is the expensive step.
@@ -1222,16 +1240,17 @@ fn synthesize_response(
 /// Answers from the synthesis cache when it holds `f`'s NPN class (the
 /// canonical network is rewired, re-verified and re-mapped; the hit's whole
 /// cost, lookup included, lands in `engine.hit_nanos`), otherwise runs the
-/// worker's synthesizer and stores the result.
+/// worker's synthesizer and, if the request was admitted, stores the result.
 fn handle_synthesize(
     state: &ServiceState,
     worker: &mut Worker,
     f: &Isf,
-    view: Option<&CacheView>,
+    no_cache: bool,
     deadline: Option<Instant>,
 ) -> Result<Value, RequestError> {
+    let route = state.cache_route(f, no_cache);
     let start = Instant::now();
-    if let Some(CacheView { cache, canon }) = view {
+    if let Route::Cached(cache, canon) = &route {
         if let Some(cached) = cache.lookup_synthesis(canon, state.config_fp) {
             let answer = || {
                 // Honor the deadline before rewiring, re-verifying and
@@ -1268,7 +1287,7 @@ fn handle_synthesize(
     let start = Instant::now();
     let result = worker.synthesizer.synthesize(f).map_err(|e| e.to_string())?;
     state.counters.engine_synthesis_nanos.add(start.elapsed().as_nanos() as u64);
-    if let Some(CacheView { cache, canon }) = view {
+    if let Route::Cached(cache, canon) = &route {
         cache.store_synthesis(
             canon,
             state.config_fp,
@@ -1286,7 +1305,7 @@ fn handle_synthesize(
         result.mapped_area,
         result.flat_area,
         result.verified,
-        if view.is_some() { "miss" } else { "bypass" },
+        route.computed_status(),
     ))
 }
 
@@ -1301,6 +1320,7 @@ fn stats_value(state: &ServiceState) -> Value {
                 ("misses".into(), json::num(stats.misses)),
                 ("insertions".into(), json::num(stats.insertions)),
                 ("evictions".into(), json::num(stats.evictions)),
+                ("not_admitted".into(), json::num(cache.not_admitted())),
                 ("entries".into(), json::num(stats.entries)),
                 ("capacity".into(), json::num(stats.capacity)),
                 ("shards".into(), json::num(stats.shards)),

@@ -99,6 +99,7 @@ fn metrics_verb_round_trips_and_counts() {
         "engine.canonicalize_nanos",
         "engine.hit_nanos",
         "cache.hits",
+        "cache.not_admitted",
     ] {
         assert!(idle_names.iter().any(|n| n == name), "idle snapshot lacks {name}");
     }
@@ -107,14 +108,14 @@ fn metrics_verb_round_trips_and_counts() {
     assert!(idle.get("gauges").and_then(|g| g.get("server.queue_depth")).is_some());
     assert!(idle.get("gauges").and_then(|g| g.get("cache.entries")).is_some());
 
-    // Drive traffic through every compute path: decompose miss, decompose
-    // hit, synthesize, stats.
+    // Drive traffic through every compute path: decompose not admitted,
+    // decompose miss, decompose hit, synthesize, stats.
     let f = Isf::completely_specified(TruthTable::from_fn(4, |m| m % 3 == 0));
     let decompose = format!(
         r#"{{"verb":"decompose","num_vars":4,"f_on":"{}","op":"AND","seed":5}}"#,
         table_to_hex(f.on()),
     );
-    for _ in 0..2 {
+    for _ in 0..3 {
         let response = client.roundtrip(&decompose);
         assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "error: {response}");
     }
@@ -127,7 +128,7 @@ fn metrics_verb_round_trips_and_counts() {
     let busy = client.roundtrip(r#"{"verb":"metrics"}"#);
     // Same counter shape as idle — traffic adds values, never names.
     assert_eq!(counter_names(&busy), idle_names, "traffic must not change the metric name set");
-    assert_eq!(counter(&busy, "server.decompose"), 2);
+    assert_eq!(counter(&busy, "server.decompose"), 3);
     assert_eq!(counter(&busy, "server.synthesize"), 1);
     assert_eq!(counter(&busy, "server.stats_requests"), 1);
     // The idle request plus this one — the counter is bumped before the
@@ -140,16 +141,18 @@ fn metrics_verb_round_trips_and_counts() {
     assert!(counter(&busy, "engine.canonicalize_nanos") > 0);
     // The one synthesize request missed, so no hit was timed.
     assert_eq!(counter(&busy, "engine.hit_nanos"), 0);
-    // The decompose repeat hit the NPN cache; the synthesize miss inserted.
+    // The first decompose was not admitted, the second inserted, the third
+    // hit the NPN cache; the synthesize miss inserted too.
+    assert_eq!(counter(&busy, "cache.not_admitted"), 1);
     assert!(counter(&busy, "cache.hits") >= 1);
-    assert!(counter(&busy, "cache.insertions") >= 1);
+    assert!(counter(&busy, "cache.insertions") >= 2);
     let entries = busy.get("gauges").and_then(|g| g.get("cache.entries")).unwrap();
     assert!(u64_field(entries, "current") >= 1);
 
     // Per-verb server-side latency histograms: counts match the verb
     // counters, quantiles are sane and bucket counts sum to the total.
     let latency = histogram(&busy, "server.latency.decompose");
-    assert_eq!(u64_field(latency, "count"), 2);
+    assert_eq!(u64_field(latency, "count"), 3);
     let p50 = f64_field(latency, "p50_us");
     let p99 = f64_field(latency, "p99_us");
     assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
@@ -163,7 +166,7 @@ fn metrics_verb_round_trips_and_counts() {
             .sum(),
         other => panic!("buckets must be an array, got {other:?}"),
     };
-    assert_eq!(bucket_total, 2, "non-empty buckets must account for every sample");
+    assert_eq!(bucket_total, 3, "non-empty buckets must account for every sample");
     assert_eq!(u64_field(histogram(&busy, "server.latency.synthesize"), "count"), 1);
     assert!(u64_field(histogram(&busy, "server.latency.stats"), "count") >= 1);
 
@@ -171,7 +174,7 @@ fn metrics_verb_round_trips_and_counts() {
     // render the envelope-free dump `bidecompd --metrics-dump` writes.
     let dump = registry_snapshot_value(&registry);
     assert_eq!(dump.get("schema").and_then(Value::as_str), Some("bidecomp-metrics-v1"));
-    assert_eq!(counter(&dump, "server.decompose"), 2);
+    assert_eq!(counter(&dump, "server.decompose"), 3);
     assert!(dump.get("verb").is_none(), "the dump has no response envelope");
 
     client.roundtrip(r#"{"verb":"shutdown"}"#);

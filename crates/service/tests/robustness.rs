@@ -107,12 +107,14 @@ fn overload_sheds_without_touching_the_cache() {
     };
     let (addr, handle) = start_server(config);
 
-    // Prime the cache (no delays yet): one decompose, one synthesize.
+    // Prime the cache (no delays yet): one decompose, one synthesize, each
+    // sent twice, since a first sighting is not admitted to the cache.
     let mut slow = Client::connect(addr);
     let cached_decompose = decompose_line(4, &["11-1", "-111"], 3);
     let cached_synthesize = synthesize_line(4, &["1-11", "-1-0"]);
-    assert!(ok_field(&slow.roundtrip(&cached_decompose)));
-    assert!(ok_field(&slow.roundtrip(&cached_synthesize)));
+    for line in [&cached_decompose, &cached_decompose, &cached_synthesize, &cached_synthesize] {
+        assert!(ok_field(&slow.roundtrip(line)));
+    }
     let before = slow.roundtrip(r#"{"verb":"metrics"}"#);
 
     // Storm: with delays armed and one worker, A occupies the worker and
@@ -159,7 +161,7 @@ fn overload_sheds_without_touching_the_cache() {
     assert_eq!(u64_field(&stats, "sheds"), 4, "stats must count the sheds: {stats}");
     assert_eq!(u64_field(&stats, "panics"), 0);
     let after = probe.roundtrip(r#"{"verb":"metrics"}"#);
-    for name in ["cache.hits", "cache.misses", "engine.canonicalize_nanos"] {
+    for name in ["cache.hits", "cache.misses", "cache.not_admitted", "engine.canonicalize_nanos"] {
         assert_eq!(
             metrics_counter(&after, name),
             metrics_counter(&before, name),

@@ -70,16 +70,20 @@ fn full_protocol_round_trip() {
         table_to_hex(f.on()),
         table_to_hex(&g),
     );
-    let response = client.roundtrip(&request);
-    assert!(bool_field(&response, "ok"), "error: {response}");
-    assert!(bool_field(&response, "verified"));
-    assert!(bool_field(&response, "maximal"));
-    assert_eq!(str_field(&response, "cache"), "miss");
+    // Sent twice: the first sighting of f's NPN class is computed without
+    // the cache, the second canonicalizes, misses and stores.
     let h = full_quotient(&f, &g, BinaryOp::And).unwrap();
-    assert_eq!(u64_field(&response, "on_minterms"), h.on().count_ones());
-    assert_eq!(u64_field(&response, "dc_minterms"), h.dc().count_ones());
-    assert_eq!(table_from_hex(str_field(&response, "h_on"), 4).unwrap(), *h.on());
-    assert_eq!(table_from_hex(str_field(&response, "h_dc"), 4).unwrap(), *h.dc());
+    for _ in 0..2 {
+        let response = client.roundtrip(&request);
+        assert!(bool_field(&response, "ok"), "error: {response}");
+        assert!(bool_field(&response, "verified"));
+        assert!(bool_field(&response, "maximal"));
+        assert_eq!(str_field(&response, "cache"), "miss");
+        assert_eq!(u64_field(&response, "on_minterms"), h.on().count_ones());
+        assert_eq!(u64_field(&response, "dc_minterms"), h.dc().count_ones());
+        assert_eq!(table_from_hex(str_field(&response, "h_on"), 4).unwrap(), *h.on());
+        assert_eq!(table_from_hex(str_field(&response, "h_dc"), 4).unwrap(), *h.dc());
+    }
 
     // An NPN variant of the same problem — the diagonal transform of
     // (f, g) with an output complement, so the operator flips to NAND —
@@ -104,7 +108,9 @@ fn full_protocol_round_trip() {
     );
     assert_eq!(table_from_hex(str_field(&response, "h_dc"), 4).unwrap(), *h2.dc());
 
-    // Synthesize twice: miss, then (same class) hit, both verified.
+    // Synthesize twice: miss, then (same class) hit, both verified. The
+    // decompose requests above already sighted f's class, so the first
+    // synthesize is admitted.
     let synth =
         format!(r#"{{"verb":"synthesize","num_vars":4,"f_on":"{}"}}"#, table_to_hex(f.on()));
     let cold = client.roundtrip(&synth);
@@ -146,14 +152,15 @@ fn full_protocol_round_trip() {
     // Stats reflect everything above.
     let stats = client.roundtrip(r#"{"verb":"stats"}"#);
     assert!(bool_field(&stats, "ok"));
-    // Three decompose requests reached the handler (the bad-hex one died
+    // Four decompose requests reached the handler (the bad-hex one died
     // at parse time and only counts as an error).
-    assert_eq!(u64_field(&stats, "decompose"), 3);
+    assert_eq!(u64_field(&stats, "decompose"), 4);
     assert_eq!(u64_field(&stats, "synthesize"), 4);
     assert_eq!(u64_field(&stats, "errors"), 3);
     let cache = stats.get("cache").expect("cache stats present");
     assert!(u64_field(cache, "hits") >= 3);
     assert!(u64_field(cache, "entries") >= 2);
+    assert_eq!(u64_field(cache, "not_admitted"), 1, "only f's first sighting was turned away");
 
     // Shutdown: acknowledged, then the server task returns.
     let response = client.roundtrip(r#"{"verb":"shutdown"}"#);
@@ -179,10 +186,10 @@ fn synthesize_line(f: &Isf, no_cache: bool) -> String {
     )
 }
 
-/// The cache sits in front of whole requests: a cold `synthesize` does one
-/// lookup and stores only its own result, however many portfolio candidates
-/// the recursion scores, and a `no_cache` request touches the cache in no
-/// way.
+/// The cache sits in front of whole requests: an admitted cold
+/// `synthesize` does one lookup and stores only its own result, however
+/// many portfolio candidates the recursion scores, and a `no_cache` request
+/// touches the cache in no way.
 #[test]
 fn synthesis_touches_the_cache_once_per_request() {
     let (addr, handle) = start_server(ServiceConfig::default());
@@ -192,11 +199,14 @@ fn synthesis_touches_the_cache_once_per_request() {
     let local = RecursiveSynthesizer::default().synthesize(&f).unwrap();
     assert!(local.flat_form.num_pseudoproducts() >= 2, "the portfolio must run on f");
     let (hits, misses, insertions) = cache_counts(&mut client);
-    let cold = client.roundtrip(&synthesize_line(&f, false));
-    assert!(bool_field(&cold, "ok"), "error: {cold}");
-    assert_eq!(str_field(&cold, "cache"), "miss");
-    assert_eq!(u64_field(&cold, "gates"), local.gate_count() as u64);
-    assert_eq!(cache_counts(&mut client), (hits, misses + 1, insertions + 1));
+    // The first sighting is not admitted and leaves the store alone.
+    for expected in [(hits, misses, insertions), (hits, misses + 1, insertions + 1)] {
+        let cold = client.roundtrip(&synthesize_line(&f, false));
+        assert!(bool_field(&cold, "ok"), "error: {cold}");
+        assert_eq!(str_field(&cold, "cache"), "miss");
+        assert_eq!(u64_field(&cold, "gates"), local.gate_count() as u64);
+        assert_eq!(cache_counts(&mut client), expected);
+    }
 
     let fresh = Isf::new(
         TruthTable::from_fn(5, |m| (m * 0x9E37) % 7 < 3),
