@@ -603,7 +603,7 @@ fn report_to_json(
     let max_vars = report.jobs.iter().map(|j| j.num_vars).max().unwrap_or(0);
     let peak_nodes = report.jobs.iter().map(|j| j.bdd_nodes).max().unwrap_or(0);
     Value::Object(vec![
-        ("schema".into(), json::s("bidecomp-sweep-v1")),
+        ("schema".into(), json::s("bidecomp-bdd-sweep-v1")),
         ("backend".into(), json::s(report.backend.name())),
         ("reorder".into(), Value::Bool(reorder)),
         ("suite".into(), json::s(suite)),

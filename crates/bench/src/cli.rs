@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn numbers_parse_into_their_target_type() {
-        let mut c = cursor(&["--tolerance", "0.25", "--port", "65535", "--rate", "1000"]);
+        let mut c = cursor(&["--max-ratio", "0.25", "--port", "65535", "--rate", "1000"]);
         let flag = c.next_flag().unwrap();
         assert!((c.number::<f64>(&flag) - 0.25).abs() < 1e-12);
         let flag = c.next_flag().unwrap();

@@ -47,9 +47,11 @@
 //!   (`--write-baseline` refreshes `BENCH_oracle_baseline.json`);
 //! * `regress`        — compares a sweep artifact (`BENCH_sweep.json`,
 //!   `BENCH_bdd_sweep.json`, `BENCH_synth.json`, `BENCH_service.json`,
-//!   `BENCH_oracle_fuzz.json` or `BENCH_obs_overhead.json`) against its
-//!   committed baseline and fails on semantic or performance regressions
-//!   (the CI `bench-smoke` and `oracle-fuzz` gates).
+//!   `BENCH_service_chaos.json`, `BENCH_oracle_fuzz.json` or
+//!   `BENCH_obs_overhead.json`) against its committed baseline with the
+//!   spec table of [`gates`] that its `schema` selects, and fails on
+//!   semantic or performance regressions (the CI `bench-smoke` and
+//!   `oracle-fuzz` gates).
 
 use std::time::Instant;
 
@@ -57,6 +59,7 @@ use benchmarks::BenchmarkInstance;
 use bidecomp::{ApproxStrategy, BenchmarkRow, BinaryOp, DecompositionPlan, TableReport};
 
 pub mod cli;
+pub mod gates;
 pub mod microbench;
 
 /// The dependency-free JSON module. It lives in the `service` crate now (the
