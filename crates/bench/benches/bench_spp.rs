@@ -27,6 +27,20 @@ fn bench_spp(c: &mut Criterion) {
         });
     });
 
+    // The full-expansion widening on a 12-input function: the word-parallel
+    // kernel the recursion runs, and its per-expansion oracle.
+    let add6 = arithmetic::add6();
+    let carry = &add6.outputs()[6];
+    let carry_form = synthesizer.synthesize(carry);
+    group.bench_function("widen/add6-out6", |b| {
+        b.iter(|| std::hint::black_box(FullExpansion::new().widen(&carry_form, carry)));
+    });
+    group.bench_function("widen-per-expansion/add6-out6", |b| {
+        b.iter(|| {
+            std::hint::black_box(FullExpansion::new().widen_per_expansion(&carry_form, carry))
+        });
+    });
+
     group.finish();
 }
 

@@ -36,6 +36,14 @@
 //! both give the same verdict on every network; `regress` gates the ratio
 //! like the espresso one.
 //!
+//! The `widen` block does the same for the full-expansion divisor's
+//! widening: every output function's 2-SPP form is synthesized once, and
+//! the word-parallel `spp::FullExpansion::widen` (two running planes per
+//! pseudoproduct) is timed against its per-expansion oracle
+//! `widen_per_expansion` on those `(form, function)` pairs. The run fails
+//! unless both return the identical widened ISF for every pair; `regress`
+//! holds the ratio above the same `speed-ratio` floor.
+//!
 //! The `memo` block totals, over those same one-thread syntheses, how many
 //! 2-SPP syntheses the recursion requested (`requested`) and how many its
 //! per-call memo answered (`answered`). Both are deterministic; `regress`
@@ -54,6 +62,7 @@ use bidecomp_bench::json::{self, Value};
 use bidecomp_bench::ReferenceArm;
 use boolfunc::Isf;
 use sop::{espresso_cover, espresso_isf, EspressoOptions};
+use spp::{FullExpansion, SppForm, SppSynthesizer};
 use techmap::Network;
 
 struct Args {
@@ -141,6 +150,27 @@ fn espresso_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
     })
 }
 
+/// Times the word-parallel full-expansion widening against its
+/// per-expansion oracle on every output function and its 2-SPP form, and
+/// checks that both widen each function to the same ISF.
+fn widen_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
+    let synthesizer = SppSynthesizer::new();
+    let cases: Vec<(SppForm, &Isf)> =
+        functions.iter().map(|&f| (synthesizer.synthesize(f), f)).collect();
+    ReferenceArm::measure(
+        &cases,
+        REPEATS,
+        |(form, f)| FullExpansion::new().widen(form, f),
+        |(form, f)| FullExpansion::new().widen_per_expansion(form, f),
+    )
+    .map_err(|(i, word, per_expansion)| {
+        format!(
+            "function #{i}: the word-parallel widening differs from the per-expansion one\n  \
+             word:          {word}\n  per-expansion: {per_expansion}"
+        )
+    })
+}
+
 /// Synthesizes every output function once more on this thread, totalling
 /// the memo counts of those syntheses, then times the word-parallel
 /// `verify_network` against its per-minterm oracle over the resulting
@@ -180,6 +210,7 @@ fn report_to_json(
     report: &SynthesisReport,
     espresso: &ReferenceArm,
     verify: &ReferenceArm,
+    widen: &ReferenceArm,
     memo: MemoCounts,
 ) -> Value {
     let instances = report
@@ -213,6 +244,7 @@ fn report_to_json(
         ("wall_ms".into(), Value::Num(report.wall_micros as f64 / 1000.0)),
         ("espresso".into(), espresso.to_json("functions", "dense_ms", "cube_list_ms")),
         ("verify".into(), verify.to_json("networks", "word_ms", "per_minterm_ms")),
+        ("widen".into(), widen.to_json("functions", "word_ms", "per_expansion_ms")),
         (
             "memo".into(),
             Value::Object(vec![
@@ -275,9 +307,11 @@ fn main() -> ExitCode {
     }
 
     let functions = suite_functions(&suite, &args.config);
-    let (espresso, (verify, memo)) = match espresso_arm(&functions)
-        .and_then(|e| Ok((e, verify_arm(&functions, &args.config)?)))
-    {
+    let arms = espresso_arm(&functions).and_then(|espresso| {
+        let (verify, memo) = verify_arm(&functions, &args.config)?;
+        Ok((espresso, verify, widen_arm(&functions)?, memo))
+    });
+    let (espresso, verify, widen, memo) = match arms {
         Ok(arms) => arms,
         Err(message) => {
             eprintln!("FAIL: {message}");
@@ -301,6 +335,14 @@ fn main() -> ExitCode {
         verify.speedup(),
     );
     println!(
+        "full-expansion widening of {} output functions, identical ISFs: word {:.2} ms, \
+         per-expansion {:.1} ms (speedup {:.2}x)",
+        widen.items,
+        widen.fast_micros as f64 / 1000.0,
+        widen.oracle_micros as f64 / 1000.0,
+        widen.speedup(),
+    );
+    println!(
         "2-SPP syntheses of those networks: {} requested, {} answered by the per-call memo \
          ({:.1}%)",
         memo.requested,
@@ -308,7 +350,7 @@ fn main() -> ExitCode {
         memo.answered as f64 * 100.0 / memo.requested.max(1) as f64,
     );
 
-    let doc = report_to_json(&report, &espresso, &verify, memo);
+    let doc = report_to_json(&report, &espresso, &verify, &widen, memo);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

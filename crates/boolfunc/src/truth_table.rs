@@ -118,18 +118,23 @@ impl TruthTable {
     /// Panics if `num_vars > TruthTable::MAX_VARS` or `var >= num_vars`.
     pub fn variable(num_vars: usize, var: usize) -> Self {
         assert!(var < num_vars, "variable index {var} out of range");
-        // Variables 0–5 repeat one in-word pattern; variable `var ≥ 6` is
-        // bit `var − 6` of the word index.
-        let mut word = 0usize;
+        let mut index = 0;
         Self::from_words(num_vars, || {
-            let w = match Self::VAR_PATTERNS.get(var) {
-                Some(&pattern) => pattern,
-                None if word >> (var - 6) & 1 == 1 => u64::MAX,
-                None => 0,
-            };
-            word += 1;
-            w
+            index += 1;
+            Self::variable_word(var, index - 1)
         })
+    }
+
+    /// Word `index` of [`TruthTable::as_words`] of the projection on `var`:
+    /// variables 0–5 repeat one in-word pattern
+    /// ([`TruthTable::VAR_PATTERNS`]); variable `var ≥ 6` is all ones or all
+    /// zeros by bit `var − 6` of `index`.
+    pub fn variable_word(var: usize, index: usize) -> u64 {
+        match Self::VAR_PATTERNS.get(var) {
+            Some(&pattern) => pattern,
+            None if index >> (var - 6) & 1 == 1 => u64::MAX,
+            None => 0,
+        }
     }
 
     /// Builds a table by evaluating `f` on every minterm.

@@ -148,14 +148,53 @@ impl FullExpansion {
     /// Widens `f` by the expansions of `form`: every pseudoproduct of `form`
     /// is expanded (each of its factors dropped in turn), and the off-set
     /// minterms those expansions would cover are moved to the dc-set.
+    ///
+    /// A minterm lies in one of a product's expansions exactly when at most
+    /// one of the product's factors is false on it. So each table word keeps
+    /// two planes per product, `z0` (no factor false yet, initially all
+    /// ones) and `z1` (exactly one false, initially zero), and folds in each
+    /// factor word `F` as `z1 = (z1 & F) | (z0 & !F)`, then `z0 &= F`; the
+    /// product contributes `z0 | z1`. A product without factors has no
+    /// expansion and contributes nothing. The result is identical to the
+    /// oracle [`FullExpansion::widen_per_expansion`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `form` and `f` have different arities.
     pub fn widen(&self, form: &SppForm, f: &Isf) -> Isf {
+        let mut index = 0;
+        let expansions = TruthTable::from_words(form.num_vars(), || {
+            let mut covered = 0;
+            for pp in form.pseudoproducts().iter().filter(|pp| !pp.is_one()) {
+                let (mut z0, mut z1) = (u64::MAX, 0);
+                for factor in pp.factors() {
+                    let word = factor.word(index);
+                    z1 = (z1 & word) | (z0 & !word);
+                    z0 &= word;
+                }
+                covered |= z0 | z1;
+            }
+            index += 1;
+            covered
+        });
+        // Off-set minterms touched by some expansion become don't-cares.
+        f.widen_dc(&(&expansions & &f.off()))
+    }
+
+    /// The per-expansion oracle of [`FullExpansion::widen`]: builds the table
+    /// of every expansion of every pseudoproduct, one evaluation per
+    /// minterm, and ORs them. O(k² · 2ⁿ) for a product of k factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `form` and `f` have different arities.
+    pub fn widen_per_expansion(&self, form: &SppForm, f: &Isf) -> Isf {
         let mut extra_dc = TruthTable::zero(form.num_vars());
         for pp in form.pseudoproducts() {
             for fi in 0..pp.num_factors() {
                 extra_dc |= &pp.expand(fi).to_truth_table();
             }
         }
-        // Off-set minterms touched by some expansion become don't-cares.
         let extra_dc = &extra_dc & &f.off();
         f.widen_dc(&extra_dc)
     }
@@ -291,6 +330,104 @@ mod tests {
             assert!(!dc.is_zero(), "case {i} must carry don't-cares");
             let f = Isf::new(on, dc).unwrap();
             same(&synth.synthesize(&f), &f);
+        }
+    }
+
+    /// A seeded linear congruential stream for the property tests.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 32
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            self.next() as usize % bound
+        }
+
+        fn word(&mut self) -> u64 {
+            self.next() << 32 | self.next()
+        }
+
+        /// A literal, or for two or more variables also an XOR or XNOR;
+        /// variables may repeat across the factors of one product.
+        fn factor(&mut self, n: usize) -> XorFactor {
+            let a = self.below(n);
+            if n == 1 || self.below(2) == 0 {
+                return XorFactor::literal(a, self.below(2) == 0);
+            }
+            let b = (a + 1 + self.below(n - 1)) % n;
+            XorFactor::xor(a, b, self.below(2) == 0)
+        }
+
+        fn form(&mut self, n: usize) -> SppForm {
+            let pps = (0..self.below(6))
+                .map(|_| {
+                    let factors = (0..self.below(6)).map(|_| self.factor(n)).collect();
+                    Pseudoproduct::new(n, factors)
+                })
+                .collect();
+            SppForm::new(n, pps)
+        }
+
+        fn isf(&mut self, n: usize) -> Isf {
+            let on = TruthTable::from_words(n, || self.word());
+            let dc = TruthTable::from_words(n, || self.word() & self.word()).difference(&on);
+            Isf::new(on, dc).unwrap()
+        }
+    }
+
+    /// `widen` against its per-expansion oracle on 1–12 variables: one padded
+    /// word below 6, the 6-variable boundary, then multi-word tables.
+    #[test]
+    fn widen_matches_the_per_expansion_oracle() {
+        let mut rng = Lcg(0x51DE);
+        let same = |form: &SppForm, f: &Isf| {
+            let widened = FullExpansion::new().widen(form, f);
+            assert_eq!(widened, FullExpansion::new().widen_per_expansion(form, f), "{form}");
+            widened
+        };
+        for n in 1..=12 {
+            let f = rng.isf(n);
+            // The empty form and a factorless product widen nothing.
+            for form in [SppForm::zero(n), SppForm::one(n)] {
+                assert_eq!(same(&form, &f), f, "{form}");
+            }
+            // One factor: its expansion is the whole space.
+            let lone = Pseudoproduct::new(n, vec![rng.factor(n)]);
+            let all = same(&SppForm::new(n, vec![lone]), &f);
+            assert!(all.off().is_zero() && all.on() == f.on());
+            if n >= 2 {
+                // Factors sharing a variable, with an XNOR: x0·(x0⊕x1) and
+                // x0'·(x0⊙x1)·(x0⊕xn-1).
+                let shared = [
+                    vec![XorFactor::literal(0, true), XorFactor::xor(0, 1, false)],
+                    vec![
+                        XorFactor::literal(0, false),
+                        XorFactor::xor(0, 1, true),
+                        XorFactor::xor(0, n - 1, false),
+                    ],
+                ];
+                let pps = shared.map(|factors| Pseudoproduct::new(n, factors.to_vec()));
+                same(&SppForm::new(n, pps.to_vec()), &f);
+            }
+            for _ in 0..24 {
+                let (form, f) = (rng.form(n), rng.isf(n));
+                same(&form, &f);
+            }
+        }
+    }
+
+    #[test]
+    fn widen_rejects_an_arity_mismatch() {
+        let (_, form) = fig2();
+        let f5 = Isf::new(TruthTable::variable(5, 0), TruthTable::zero(5)).unwrap();
+        for widen in [FullExpansion::widen, FullExpansion::widen_per_expansion] {
+            let panic = std::panic::catch_unwind(|| widen(&FullExpansion, &form, &f5));
+            let message =
+                *panic.expect_err("an arity mismatch must panic").downcast::<String>().unwrap();
+            assert!(message.contains("arity mismatch"), "{message}");
         }
     }
 

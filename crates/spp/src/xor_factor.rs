@@ -1,6 +1,6 @@
 use std::fmt;
 
-use boolfunc::minterm_bit;
+use boolfunc::{minterm_bit, TruthTable};
 
 /// A factor of a pseudoproduct: either a single literal or an exclusive-or of
 /// exactly two variables (possibly complemented, i.e. an XNOR).
@@ -66,6 +66,17 @@ impl XorFactor {
             XorFactor::Xor { a, b, complemented } => {
                 (minterm_bit(minterm, a) ^ minterm_bit(minterm, b)) ^ complemented
             }
+        }
+    }
+
+    /// The factor's values on the 64 minterms of word `index` of a
+    /// [`TruthTable`] (minterm `64·index + i` at bit `i`).
+    pub(crate) fn word(&self, index: usize) -> u64 {
+        let var = |v| TruthTable::variable_word(v, index);
+        let invert = |on: bool| if on { u64::MAX } else { 0 };
+        match *self {
+            XorFactor::Literal { var: v, positive } => var(v) ^ invert(!positive),
+            XorFactor::Xor { a, b, complemented } => var(a) ^ var(b) ^ invert(complemented),
         }
     }
 
