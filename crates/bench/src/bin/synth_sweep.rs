@@ -44,6 +44,15 @@
 //! unless both return the identical widened ISF for every pair; `regress`
 //! holds the ratio above the same `speed-ratio` floor.
 //!
+//! The `tables` block times the word-parallel `spp::SppForm::to_truth_table`
+//! against its per-minterm oracle `to_truth_table_per_minterm` on those
+//! same 2-SPP forms, and the `remove_covered` block times the linear-pass
+//! `SppForm::remove_covered` against its pairwise oracle
+//! `remove_covered_pairwise` on every output function's merged, not yet
+//! pruned form. The run fails unless the tables, and the kept products with
+//! their order and count, are identical; `regress` holds both ratios above
+//! the `speed-ratio` floor.
+//!
 //! The `memo` block totals, over those same one-thread syntheses, how many
 //! 2-SPP syntheses the recursion requested (`requested`) and how many its
 //! per-call memo answered (`answered`). Both are deterministic; `regress`
@@ -153,10 +162,8 @@ fn espresso_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
 /// Times the word-parallel full-expansion widening against its
 /// per-expansion oracle on every output function and its 2-SPP form, and
 /// checks that both widen each function to the same ISF.
-fn widen_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
-    let synthesizer = SppSynthesizer::new();
-    let cases: Vec<(SppForm, &Isf)> =
-        functions.iter().map(|&f| (synthesizer.synthesize(f), f)).collect();
+fn widen_arm(functions: &[&Isf], forms: &[SppForm]) -> Result<ReferenceArm, String> {
+    let cases: Vec<(&SppForm, &Isf)> = forms.iter().zip(functions.iter().copied()).collect();
     ReferenceArm::measure(
         &cases,
         REPEATS,
@@ -167,6 +174,54 @@ fn widen_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
         format!(
             "function #{i}: the word-parallel widening differs from the per-expansion one\n  \
              word:          {word}\n  per-expansion: {per_expansion}"
+        )
+    })
+}
+
+/// Times the word-parallel `SppForm::to_truth_table` against its
+/// per-minterm oracle on every output function's 2-SPP form, and checks
+/// that both build the same table.
+fn tables_arm(forms: &[SppForm]) -> Result<ReferenceArm, String> {
+    ReferenceArm::measure(
+        forms,
+        REPEATS,
+        SppForm::to_truth_table,
+        SppForm::to_truth_table_per_minterm,
+    )
+    .map_err(|(i, word, per_minterm)| {
+        format!(
+            "function #{i}: the word-parallel form table differs from the per-minterm one\n  \
+             word:        {word}\n  per-minterm: {per_minterm}"
+        )
+    })
+}
+
+/// Times the linear-pass `SppForm::remove_covered` against its pairwise
+/// oracle on every output function's merged, not yet pruned 2-SPP form
+/// (each run prunes a fresh copy), and checks that both keep the same
+/// products in the same order.
+fn remove_covered_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
+    let synthesizer = SppSynthesizer::new();
+    let options = synthesizer.options().espresso;
+    let merged: Vec<SppForm> =
+        functions.iter().map(|&f| synthesizer.merge_cover(&espresso_isf(f, options))).collect();
+    let prune = |remove: fn(&mut SppForm) -> usize| {
+        move |form: &SppForm| {
+            let mut form = form.clone();
+            let removed = remove(&mut form);
+            (form, removed)
+        }
+    };
+    ReferenceArm::measure(
+        &merged,
+        REPEATS,
+        prune(SppForm::remove_covered),
+        prune(SppForm::remove_covered_pairwise),
+    )
+    .map_err(|(i, (linear, _), (pairwise, _))| {
+        format!(
+            "function #{i}: the linear-pass pruning differs from the pairwise one\n  \
+             linear:   {linear}\n  pairwise: {pairwise}"
         )
     })
 }
@@ -211,6 +266,8 @@ fn report_to_json(
     espresso: &ReferenceArm,
     verify: &ReferenceArm,
     widen: &ReferenceArm,
+    tables: &ReferenceArm,
+    remove_covered: &ReferenceArm,
     memo: MemoCounts,
 ) -> Value {
     let instances = report
@@ -245,6 +302,8 @@ fn report_to_json(
         ("espresso".into(), espresso.to_json("functions", "dense_ms", "cube_list_ms")),
         ("verify".into(), verify.to_json("networks", "word_ms", "per_minterm_ms")),
         ("widen".into(), widen.to_json("functions", "word_ms", "per_expansion_ms")),
+        ("tables".into(), tables.to_json("functions", "word_ms", "per_minterm_ms")),
+        ("remove_covered".into(), remove_covered.to_json("functions", "linear_ms", "pairwise_ms")),
         (
             "memo".into(),
             Value::Object(vec![
@@ -307,11 +366,14 @@ fn main() -> ExitCode {
     }
 
     let functions = suite_functions(&suite, &args.config);
+    let synthesizer = SppSynthesizer::new();
+    let forms: Vec<SppForm> = functions.iter().map(|&f| synthesizer.synthesize(f)).collect();
     let arms = espresso_arm(&functions).and_then(|espresso| {
         let (verify, memo) = verify_arm(&functions, &args.config)?;
-        Ok((espresso, verify, widen_arm(&functions)?, memo))
+        let widen = widen_arm(&functions, &forms)?;
+        Ok((espresso, verify, widen, tables_arm(&forms)?, remove_covered_arm(&functions)?, memo))
     });
-    let (espresso, verify, widen, memo) = match arms {
+    let (espresso, verify, widen, tables, remove_covered, memo) = match arms {
         Ok(arms) => arms,
         Err(message) => {
             eprintln!("FAIL: {message}");
@@ -343,6 +405,22 @@ fn main() -> ExitCode {
         widen.speedup(),
     );
     println!(
+        "2-SPP form tables of {} output functions, identical tables: word {:.2} ms, \
+         per-minterm {:.1} ms (speedup {:.2}x)",
+        tables.items,
+        tables.fast_micros as f64 / 1000.0,
+        tables.oracle_micros as f64 / 1000.0,
+        tables.speedup(),
+    );
+    println!(
+        "covered-product pruning of {} merged forms, identical forms: linear {:.2} ms, \
+         pairwise {:.1} ms (speedup {:.2}x)",
+        remove_covered.items,
+        remove_covered.fast_micros as f64 / 1000.0,
+        remove_covered.oracle_micros as f64 / 1000.0,
+        remove_covered.speedup(),
+    );
+    println!(
         "2-SPP syntheses of those networks: {} requested, {} answered by the per-call memo \
          ({:.1}%)",
         memo.requested,
@@ -350,7 +428,7 @@ fn main() -> ExitCode {
         memo.answered as f64 * 100.0 / memo.requested.max(1) as f64,
     );
 
-    let doc = report_to_json(&report, &espresso, &verify, &widen, memo);
+    let doc = report_to_json(&report, &espresso, &verify, &widen, &tables, &remove_covered, memo);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

@@ -53,10 +53,11 @@ struct Band {
 }
 
 /// Same-process, one-thread, min-of-reps wall ratios of a production path
-/// over its oracle (`sweep`'s engine, `synth_sweep`'s espresso, verify and
-/// widen arms). The ratio does not depend on machine speed or core count, and a
-/// quarter of the baseline absorbs noisy shared CI runners while still
-/// catching the hot path regressing toward the oracle.
+/// over its oracle (`sweep`'s engine, `synth_sweep`'s espresso, verify,
+/// widen, tables and remove-covered arms). The ratio does not depend on
+/// machine speed or core count, and a quarter of the baseline absorbs noisy
+/// shared CI runners while still catching the hot path regressing toward
+/// the oracle.
 const SPEED_RATIO: Band = Band { name: "speed-ratio", bound: |b| (b * 0.25).max(1.0) };
 
 /// The BDD manager rewrite's ratio: 80% of the baseline keeps the floor
@@ -200,16 +201,19 @@ const SYNTH: Schema = Schema {
     fields: &[
         (Exact, &["suite", "jobs", "verified", "total_gates", "total_branches"]),
         (Exact, &["average_gain_percent", "espresso/functions", "verify/networks"]),
-        (Exact, &["widen/functions"]),
+        (Exact, &["widen/functions", "tables/functions", "remove_covered/functions"]),
         (Exact, &["memo/requested", "memo/answered"]),
         (Exact, &["instances[]/instance", "instances[]/output", "instances[]/num_vars"]),
         (Exact, &["instances[]/gates", "instances[]/depth", "instances[]/branches"]),
         (Exact, &["instances[]/mapped_area", "instances[]/flat_area", "instances[]/gain_percent"]),
         (Exact, &["instances[]/verified"]),
         (Floor(SPEED_RATIO), &["espresso/speedup", "verify/speedup", "widen/speedup"]),
+        (Floor(SPEED_RATIO), &["tables/speedup", "remove_covered/speedup"]),
         (Informational, &["threads", "wall_ms", "espresso/dense_ms", "espresso/cube_list_ms"]),
         (Informational, &["verify/word_ms", "verify/per_minterm_ms"]),
         (Informational, &["widen/word_ms", "widen/per_expansion_ms"]),
+        (Informational, &["tables/word_ms", "tables/per_minterm_ms"]),
+        (Informational, &["remove_covered/linear_ms", "remove_covered/pairwise_ms"]),
     ],
     accounting: &[],
     derived: &[],

@@ -21,6 +21,7 @@
 use boolfunc::{Isf, TruthTable};
 
 use crate::form::SppForm;
+use crate::pseudoproduct::Pseudoproduct;
 use crate::synth::SppSynthesizer;
 
 /// The result of approximating `f` by a completely specified `g ⊇ f_on`.
@@ -87,6 +88,8 @@ impl BoundedExpansion {
         loop {
             // Enumerate candidate expansions of the current form.
             let mut best: Option<(usize, usize, u64, usize)> = None; // (pp, factor, cost, gain)
+            let tables: Vec<TruthTable> =
+                current.pseudoproducts().iter().map(Pseudoproduct::to_truth_table).collect();
             for (pi, pp) in current.pseudoproducts().iter().enumerate() {
                 for fi in 0..pp.num_factors() {
                     let expanded = pp.expand(fi);
@@ -99,8 +102,10 @@ impl BoundedExpansion {
                     // Gain: literals dropped from this pseudoproduct plus the
                     // literals of every other pseudoproduct the expansion covers.
                     let mut gain = pp.literal_count() - expanded.literal_count();
-                    for (pj, other) in current.pseudoproducts().iter().enumerate() {
-                        if pj != pi && other.to_truth_table().is_subset_of(&expanded_tt) {
+                    for (pj, (other, table)) in
+                        current.pseudoproducts().iter().zip(&tables).enumerate()
+                    {
+                        if pj != pi && table.is_subset_of(&expanded_tt) {
                             gain += other.literal_count();
                         }
                     }
@@ -192,7 +197,7 @@ impl FullExpansion {
         let mut extra_dc = TruthTable::zero(form.num_vars());
         for pp in form.pseudoproducts() {
             for fi in 0..pp.num_factors() {
-                extra_dc |= &pp.expand(fi).to_truth_table();
+                extra_dc |= &pp.expand(fi).to_truth_table_per_minterm();
             }
         }
         let extra_dc = &extra_dc & &f.off();
@@ -215,7 +220,7 @@ impl FullExpansion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pseudoproduct::Pseudoproduct;
+    use crate::testing::Lcg;
     use crate::xor_factor::XorFactor;
     use boolfunc::Isf;
 
@@ -330,51 +335,6 @@ mod tests {
             assert!(!dc.is_zero(), "case {i} must carry don't-cares");
             let f = Isf::new(on, dc).unwrap();
             same(&synth.synthesize(&f), &f);
-        }
-    }
-
-    /// A seeded linear congruential stream for the property tests.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 32
-        }
-
-        fn below(&mut self, bound: usize) -> usize {
-            self.next() as usize % bound
-        }
-
-        fn word(&mut self) -> u64 {
-            self.next() << 32 | self.next()
-        }
-
-        /// A literal, or for two or more variables also an XOR or XNOR;
-        /// variables may repeat across the factors of one product.
-        fn factor(&mut self, n: usize) -> XorFactor {
-            let a = self.below(n);
-            if n == 1 || self.below(2) == 0 {
-                return XorFactor::literal(a, self.below(2) == 0);
-            }
-            let b = (a + 1 + self.below(n - 1)) % n;
-            XorFactor::xor(a, b, self.below(2) == 0)
-        }
-
-        fn form(&mut self, n: usize) -> SppForm {
-            let pps = (0..self.below(6))
-                .map(|_| {
-                    let factors = (0..self.below(6)).map(|_| self.factor(n)).collect();
-                    Pseudoproduct::new(n, factors)
-                })
-                .collect();
-            SppForm::new(n, pps)
-        }
-
-        fn isf(&mut self, n: usize) -> Isf {
-            let on = TruthTable::from_words(n, || self.word());
-            let dc = TruthTable::from_words(n, || self.word() & self.word()).difference(&on);
-            Isf::new(on, dc).unwrap()
         }
     }
 

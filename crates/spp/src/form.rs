@@ -92,12 +92,28 @@ impl SppForm {
         self.pseudoproducts.iter().any(|pp| pp.eval(minterm))
     }
 
-    /// Dense truth table of the form.
+    /// Dense truth table of the form, built one 64-minterm word at a time as
+    /// the OR of its products' words. The result is identical to the oracle
+    /// [`SppForm::to_truth_table_per_minterm`].
     ///
     /// # Panics
     ///
     /// Panics if the number of variables exceeds the dense limit.
     pub fn to_truth_table(&self) -> TruthTable {
+        let mut index = 0;
+        TruthTable::from_words(self.num_vars, || {
+            index += 1;
+            self.pseudoproducts.iter().fold(0, |word, pp| word | pp.word(index - 1))
+        })
+    }
+
+    /// The per-minterm oracle of [`SppForm::to_truth_table`]: one
+    /// [`SppForm::eval`] per minterm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of variables exceeds the dense limit.
+    pub fn to_truth_table_per_minterm(&self) -> TruthTable {
         TruthTable::from_fn(self.num_vars, |m| self.eval(m))
     }
 
@@ -120,10 +136,52 @@ impl SppForm {
 
     /// Removes pseudoproducts whose minterms are entirely covered by the rest
     /// of the form; returns how many were dropped.
+    ///
+    /// Products are visited in order, and product `i` is dropped exactly when
+    /// it lies in the union of the kept products before it and all products
+    /// after it. A backward pass stores those suffix unions; a forward pass
+    /// tests each product against its suffix union and a running union of
+    /// the kept products. Product words are recomputed from the factors, not
+    /// stored, so k products take k + 2 tables of working memory and O(k)
+    /// table passes. The kept products, their order and the count are
+    /// identical to the pairwise oracle [`SppForm::remove_covered_pairwise`].
     pub fn remove_covered(&mut self) -> usize {
         let before = self.pseudoproducts.len();
+        let width = (1usize << self.num_vars).div_ceil(64);
+        // Table i of `after` is the union of products i + 1, i + 2, ...
+        let mut after = vec![0u64; before * width];
+        for i in (1..before).rev() {
+            let (head, next) = after.split_at_mut(i * width);
+            for (w, word) in head[(i - 1) * width..].iter_mut().enumerate() {
+                *word = next[w] | self.pseudoproducts[i].word(w);
+            }
+        }
+        let mut after = after.chunks_exact(width);
+        let mut kept = vec![0u64; width];
+        let mut words = vec![0u64; width];
+        self.pseudoproducts.retain(|pp| {
+            let rest = after.next().expect("one suffix union per product");
+            for (w, word) in words.iter_mut().enumerate() {
+                *word = pp.word(w);
+            }
+            // Below 6 variables the padding bits repeat the valid ones, so
+            // testing whole words decides coverage of the valid minterms.
+            let covered = words.iter().zip(&kept).zip(rest).all(|((p, k), r)| p & !(k | r) == 0);
+            if !covered {
+                kept.iter_mut().zip(&words).for_each(|(k, p)| *k |= p);
+            }
+            !covered
+        });
+        before - self.pseudoproducts.len()
+    }
+
+    /// The pairwise oracle of [`SppForm::remove_covered`]: builds every
+    /// product's per-minterm table, then for each product in turn ORs the
+    /// tables of all other products not yet removed. O(k²) table passes.
+    pub fn remove_covered_pairwise(&mut self) -> usize {
+        let before = self.pseudoproducts.len();
         let tables: Vec<TruthTable> =
-            self.pseudoproducts.iter().map(Pseudoproduct::to_truth_table).collect();
+            self.pseudoproducts.iter().map(Pseudoproduct::to_truth_table_per_minterm).collect();
         let mut removed = vec![false; before];
         for i in 0..before {
             let mut rest = TruthTable::zero(self.num_vars);
@@ -174,6 +232,7 @@ impl fmt::Display for SppForm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Lcg;
     use crate::xor_factor::XorFactor;
 
     fn fig2_f() -> SppForm {
@@ -253,6 +312,109 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(f.to_truth_table(), before_tt);
         assert_eq!(f.num_pseudoproducts(), 2);
+    }
+
+    /// The word-parallel form table against its per-minterm oracle on 1–12
+    /// variables, with the empty form, the constant-one product and
+    /// products sharing a variable.
+    #[test]
+    fn truth_table_matches_the_per_minterm_oracle() {
+        let mut rng = Lcg(0xF0E);
+        for n in 1..=12 {
+            let mut forms = vec![SppForm::zero(n), SppForm::one(n)];
+            if n >= 2 {
+                // x0·(x0⊕x1) + x1·(x0⊙x1)
+                let shared = [
+                    [XorFactor::literal(0, true), XorFactor::xor(0, 1, false)],
+                    [XorFactor::literal(1, true), XorFactor::xor(0, 1, true)],
+                ];
+                forms.push(SppForm::new(
+                    n,
+                    shared.iter().map(|f| Pseudoproduct::new(n, f.to_vec())).collect(),
+                ));
+            }
+            forms.extend((0..24).map(|_| rng.form(n)));
+            for form in &forms {
+                let table = form.to_truth_table();
+                assert_eq!(table, form.to_truth_table_per_minterm(), "{form} on {n} variables");
+                assert_eq!(table.as_words().last().unwrap() & !table.tail_mask(), 0, "{form}");
+            }
+        }
+    }
+
+    /// Runs both pruning paths on copies of `form` and requires the same
+    /// kept products in the same order and the same count.
+    fn prune_like_the_oracle(form: &SppForm) -> SppForm {
+        let (mut linear, mut pairwise) = (form.clone(), form.clone());
+        let removed = linear.remove_covered();
+        assert_eq!(removed, pairwise.remove_covered_pairwise(), "{form}");
+        assert_eq!(linear, pairwise, "{form}");
+        assert_eq!(linear.to_truth_table(), form.to_truth_table(), "{form}");
+        linear
+    }
+
+    /// A form holding `products` in exactly this order.
+    fn in_order(n: usize, products: impl IntoIterator<Item = Pseudoproduct>) -> SppForm {
+        let mut form = SppForm::zero(n);
+        products.into_iter().for_each(|pp| form.push(pp));
+        form
+    }
+
+    #[test]
+    fn remove_covered_matches_the_pairwise_oracle() {
+        let mut rng = Lcg(0xC0DE);
+        for n in 1..=12 {
+            for _ in 0..40 {
+                // Few factors per product, so products often cover each
+                // other; some are refinements p·f of an earlier p, or split
+                // an earlier p into p·f and p·f', which covers p from after.
+                let mut products: Vec<Pseudoproduct> = Vec::new();
+                for _ in 0..rng.below(14) {
+                    let product = match (products.len(), rng.below(4)) {
+                        (0, _) | (_, 0 | 1) => rng.product(n, 4),
+                        (len, 2) => products[rng.below(len)].with_factor(rng.factor(n)),
+                        (len, _) => {
+                            let (p, f) = (products[rng.below(len)].clone(), rng.factor(n));
+                            products.push(p.with_factor(f));
+                            p.with_factor(f.complement())
+                        }
+                    };
+                    products.push(product);
+                }
+                prune_like_the_oracle(&in_order(n, products));
+            }
+        }
+    }
+
+    #[test]
+    fn remove_covered_drops_the_earlier_of_two_equal_tables() {
+        // x0·x1' and x0·(x0⊕x1) are distinct products with one table.
+        let n = 3;
+        let cube =
+            Pseudoproduct::new(n, vec![XorFactor::literal(0, true), XorFactor::literal(1, false)]);
+        let xor =
+            Pseudoproduct::new(n, vec![XorFactor::literal(0, true), XorFactor::xor(0, 1, false)]);
+        assert_ne!(cube, xor);
+        assert_eq!(cube.to_truth_table(), xor.to_truth_table());
+        for (first, second) in [(&cube, &xor), (&xor, &cube)] {
+            let pruned = prune_like_the_oracle(&in_order(n, [first.clone(), second.clone()]));
+            assert_eq!(pruned.pseudoproducts(), std::slice::from_ref(second));
+        }
+    }
+
+    #[test]
+    fn remove_covered_keeps_only_a_constant_one_product() {
+        let mut rng = Lcg(0x1);
+        for n in [2, 7] {
+            let rest: Vec<_> = (0..5).map(|_| rng.product(n, 4)).collect();
+            for at in [0, 3, 5] {
+                let mut products = rest.clone();
+                products.insert(at, Pseudoproduct::one(n));
+                let pruned = prune_like_the_oracle(&in_order(n, products));
+                assert_eq!(pruned, SppForm::one(n), "one at position {at}");
+            }
+        }
+        assert_eq!(prune_like_the_oracle(&SppForm::zero(4)), SppForm::zero(4));
     }
 
     #[test]

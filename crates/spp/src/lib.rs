@@ -85,6 +85,8 @@ pub mod approx;
 mod form;
 mod pseudoproduct;
 mod synth;
+#[cfg(test)]
+mod testing;
 mod xor_factor;
 
 pub use approx::{ApproximationOutcome, BoundedExpansion, FullExpansion};

@@ -142,13 +142,37 @@ impl Pseudoproduct {
         true
     }
 
-    /// Dense truth table of the product.
+    /// Dense truth table of the product, built one 64-minterm word at a time
+    /// as the AND of its factors' words. The result is identical to the
+    /// oracle [`Pseudoproduct::to_truth_table_per_minterm`].
     ///
     /// # Panics
     ///
     /// Panics if the number of variables exceeds the dense limit.
     pub fn to_truth_table(&self) -> TruthTable {
+        let mut index = 0;
+        TruthTable::from_words(self.num_vars, || {
+            index += 1;
+            self.word(index - 1)
+        })
+    }
+
+    /// The per-minterm oracle of [`Pseudoproduct::to_truth_table`]: one
+    /// [`Pseudoproduct::eval`] per minterm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of variables exceeds the dense limit.
+    pub fn to_truth_table_per_minterm(&self) -> TruthTable {
         TruthTable::from_fn(self.num_vars, |m| self.eval(m))
+    }
+
+    /// The product's values on the 64 minterms of word `index` of a
+    /// [`TruthTable`] (minterm `64·index + i` at bit `i`). Below 6 variables
+    /// the bits past minterm `2ⁿ − 1` repeat the valid ones and are not
+    /// masked.
+    pub(crate) fn word(&self, index: usize) -> u64 {
+        self.factors.iter().fold(u64::MAX, |word, factor| word & factor.word(index))
     }
 
     /// The product with factor `index` removed — the *expansion* operation of
@@ -193,6 +217,7 @@ impl fmt::Display for Pseudoproduct {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Lcg;
 
     fn fig2_first() -> Pseudoproduct {
         // x0 (x2 ⊕ x3)
@@ -254,6 +279,38 @@ mod tests {
         let tt = pp.to_truth_table();
         for m in 0..16u64 {
             assert_eq!(tt.get(m), pp.eval(m));
+        }
+    }
+
+    /// The word-parallel table against its per-minterm oracle on 1–12
+    /// variables: one word with masked padding below 6, then multi-word.
+    #[test]
+    fn truth_table_matches_the_per_minterm_oracle() {
+        let mut rng = Lcg(0x7AB1E);
+        for n in 1..=12 {
+            let mut products =
+                vec![Pseudoproduct::one(n), Pseudoproduct::new(n, vec![rng.factor(n)])];
+            if n >= 2 {
+                // Factors sharing a variable: x0·(x0⊕x1) and x0'·(x0⊙x1)·(x0⊕xn-1).
+                products.push(Pseudoproduct::new(
+                    n,
+                    vec![XorFactor::literal(0, true), XorFactor::xor(0, 1, false)],
+                ));
+                products.push(Pseudoproduct::new(
+                    n,
+                    vec![
+                        XorFactor::literal(0, false),
+                        XorFactor::xor(0, 1, true),
+                        XorFactor::xor(0, n - 1, false),
+                    ],
+                ));
+            }
+            products.extend((0..24).map(|_| rng.product(n, 8)));
+            for pp in &products {
+                let table = pp.to_truth_table();
+                assert_eq!(table, pp.to_truth_table_per_minterm(), "{pp} on {n} variables");
+                assert_eq!(table.as_words().last().unwrap() & !table.tail_mask(), 0, "{pp}");
+            }
         }
     }
 

@@ -66,15 +66,23 @@ impl SppSynthesizer {
         self.improve_cover(&espresso_isf(f, self.options.espresso))
     }
 
-    /// Runs only the pseudoproduct-merging phase on an existing SOP cover.
+    /// Runs only the pseudoproduct-merging phase on an existing SOP cover:
+    /// [`SppSynthesizer::merge_cover`], then [`SppForm::remove_covered`].
     pub fn improve_cover(&self, cover: &Cover) -> SppForm {
+        let mut form = self.merge_cover(cover);
+        form.remove_covered();
+        form
+    }
+
+    /// The merge rounds of [`SppSynthesizer::improve_cover`] without its
+    /// final pruning of covered pseudoproducts.
+    pub fn merge_cover(&self, cover: &Cover) -> SppForm {
         let mut form = SppForm::from_cover(cover);
         for _ in 0..MAX_MERGE_ROUNDS {
             if !self.merge_round(&mut form) {
                 break;
             }
         }
-        form.remove_covered();
         form
     }
 
