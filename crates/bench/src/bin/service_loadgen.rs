@@ -74,6 +74,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use benchmarks::cold::random_isf;
 use benchmarks::DetRng;
 use bidecomp::engine::seeded_divisor;
 use bidecomp::BinaryOp;
@@ -182,26 +183,6 @@ fn connect(port: u16) -> Result<TcpStream, String> {
             Err(_) => std::thread::sleep(Duration::from_millis(100)),
         }
     }
-}
-
-/// A seeded random on/dc cover pair: the structured functions a synthesis
-/// workload actually sees (random dense tables are 2-SPP worst cases and
-/// would measure the synthesizer, not the cache).
-fn random_isf(rng: &mut DetRng, num_vars: usize) -> Isf {
-    let cube = |rng: &mut DetRng| {
-        let mut chars = vec!['-'; num_vars];
-        let literals = 2 + (rng.next_u64() % 2) as usize;
-        for _ in 0..literals {
-            let var = (rng.next_u64() % num_vars as u64) as usize;
-            chars[var] = if rng.next_u64() & 1 == 0 { '0' } else { '1' };
-        }
-        chars.into_iter().collect::<String>()
-    };
-    let on: Vec<String> = (0..8).map(|_| cube(rng)).collect();
-    let dc: Vec<String> = (0..2).map(|_| cube(rng)).collect();
-    let on_refs: Vec<&str> = on.iter().map(String::as_str).collect();
-    let dc_refs: Vec<&str> = dc.iter().map(String::as_str).collect();
-    Isf::from_cover_str(num_vars, &on_refs, &dc_refs).expect("generated cubes are well-formed")
 }
 
 fn random_transform(rng: &mut DetRng, num_vars: usize) -> NpnTransform {

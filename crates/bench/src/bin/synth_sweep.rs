@@ -58,12 +58,23 @@
 //! per-call memo answered (`answered`). Both are deterministic; `regress`
 //! compares them exactly, so a change that loses the memo's hits fails.
 //!
+//! The `cold` block measures what a cold service request costs: 200 seeded
+//! functions per arity 9–12 from `benchmarks::cold::random_isf` (the
+//! generator behind `service_loadgen`'s fresh requests), each synthesized
+//! recursively on one thread, fastest of three runs per arity. It reports
+//! the milliseconds per function at each arity (informational) and a
+//! fingerprint of every result's gate count, branch count, mapped and flat
+//! area bits and memo counts, which `regress` compares exactly: a change
+//! to the synthesis path must leave every cold result bit-identical.
+//!
 //! `--write-baseline` additionally rewrites `BENCH_synth_baseline.json`.
 //! Output lands in `BENCH_OUT_DIR` (default: working directory).
 
 use std::process::ExitCode;
+use std::time::Instant;
 
-use benchmarks::Suite;
+use benchmarks::cold::random_isf;
+use benchmarks::{DetRng, Suite};
 use bidecomp::engine::{sweep_synthesis, SynthesisConfig, SynthesisReport};
 use bidecomp::{verify_network, verify_network_per_minterm, MemoCounts, RecursiveSynthesizer};
 use bidecomp_bench::cli::{bench_out_path, ArgCursor};
@@ -124,6 +135,11 @@ fn suite_by_name(name: &str) -> Option<Suite> {
 /// the underlying computation is deterministic, so the rounded value is too.
 fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
+}
+
+/// Rounds to 4 decimals (the `cold` block's sub-millisecond times).
+fn round4(x: f64) -> f64 {
+    (x * 10_000.0).round() / 10_000.0
 }
 
 /// Runs per arm of the in-process reference arms.
@@ -261,15 +277,82 @@ fn verify_arm(
     Ok((arm, memo))
 }
 
-fn report_to_json(
-    report: &SynthesisReport,
-    espresso: &ReferenceArm,
-    verify: &ReferenceArm,
-    widen: &ReferenceArm,
-    tables: &ReferenceArm,
-    remove_covered: &ReferenceArm,
+/// Arities of the `cold` block's functions.
+const COLD_ARITIES: [usize; 4] = [9, 10, 11, 12];
+
+/// Functions per arity in the `cold` block.
+const COLD_FUNCTIONS: usize = 200;
+
+/// What the `cold` block measured.
+struct ColdBlock {
+    /// Functions synthesized, over all arities.
+    functions: usize,
+    /// Fastest-run milliseconds per function, per arity.
+    ms_per_function: Vec<(usize, f64)>,
+    /// FNV-1a over every result's gates, branches, area bits and memo
+    /// counts, in generation order.
+    fingerprint: u64,
+}
+
+/// One 64-bit word into an FNV-1a hash.
+fn fnv(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Recursively synthesizes [`COLD_FUNCTIONS`] cold-shaped functions per
+/// arity on this thread, fastest of [`REPEATS`] runs per arity, and
+/// fingerprints the results; fails unless every network verified.
+fn cold_arm(config: &SynthesisConfig) -> Result<ColdBlock, String> {
+    let synthesizer = RecursiveSynthesizer::new(config.recursive.clone());
+    let mut block =
+        ColdBlock { functions: 0, ms_per_function: Vec::new(), fingerprint: 0xcbf2_9ce4_8422_2325 };
+    for n in COLD_ARITIES {
+        let mut rng = DetRng::seed_from_u64(config.seed ^ n as u64);
+        let functions: Vec<Isf> = (0..COLD_FUNCTIONS).map(|_| random_isf(&mut rng, n)).collect();
+        let mut best = f64::INFINITY;
+        let mut results = Vec::new();
+        for _ in 0..REPEATS {
+            let start = Instant::now();
+            results = functions
+                .iter()
+                .map(|f| synthesizer.synthesize(f))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| format!("cold synthesis failed: {e}"))?;
+            best = best.min(start.elapsed().as_secs_f64() * 1000.0);
+        }
+        for (i, r) in results.iter().enumerate() {
+            if !r.verified {
+                return Err(format!("cold function #{i} at {n} inputs did not verify"));
+            }
+            let words = [
+                r.gate_count() as u64,
+                r.tree.num_branches() as u64,
+                r.mapped_area.to_bits(),
+                r.flat_area.to_bits(),
+                r.memo.requested,
+                r.memo.answered,
+            ];
+            block.fingerprint = words.into_iter().fold(block.fingerprint, fnv);
+        }
+        block.functions += functions.len();
+        block.ms_per_function.push((n, best / functions.len() as f64));
+    }
+    Ok(block)
+}
+
+/// Every in-process block the artifact carries next to the sweep itself.
+struct Arms {
+    espresso: ReferenceArm,
+    verify: ReferenceArm,
+    widen: ReferenceArm,
+    tables: ReferenceArm,
+    remove_covered: ReferenceArm,
     memo: MemoCounts,
-) -> Value {
+    cold: ColdBlock,
+}
+
+fn report_to_json(report: &SynthesisReport, arms: &Arms) -> Value {
+    let Arms { espresso, verify, widen, tables, remove_covered, memo, cold } = arms;
     let instances = report
         .jobs
         .iter()
@@ -309,6 +392,22 @@ fn report_to_json(
             Value::Object(vec![
                 ("requested".into(), json::num(memo.requested)),
                 ("answered".into(), json::num(memo.answered)),
+            ]),
+        ),
+        (
+            "cold".into(),
+            Value::Object(vec![
+                ("functions".into(), json::num(cold.functions as u64)),
+                ("fingerprint".into(), json::s(format!("{:016x}", cold.fingerprint))),
+                (
+                    "ms_per_function".into(),
+                    Value::Object(
+                        cold.ms_per_function
+                            .iter()
+                            .map(|&(n, ms)| (format!("n{n}"), Value::Num(round4(ms))))
+                            .collect(),
+                    ),
+                ),
             ]),
         ),
         ("instances".into(), Value::Array(instances)),
@@ -371,15 +470,19 @@ fn main() -> ExitCode {
     let arms = espresso_arm(&functions).and_then(|espresso| {
         let (verify, memo) = verify_arm(&functions, &args.config)?;
         let widen = widen_arm(&functions, &forms)?;
-        Ok((espresso, verify, widen, tables_arm(&forms)?, remove_covered_arm(&functions)?, memo))
+        let tables = tables_arm(&forms)?;
+        let remove_covered = remove_covered_arm(&functions)?;
+        let cold = cold_arm(&args.config)?;
+        Ok(Arms { espresso, verify, widen, tables, remove_covered, memo, cold })
     });
-    let (espresso, verify, widen, tables, remove_covered, memo) = match arms {
+    let arms = match arms {
         Ok(arms) => arms,
         Err(message) => {
             eprintln!("FAIL: {message}");
             return ExitCode::FAILURE;
         }
     };
+    let Arms { espresso, verify, widen, tables, remove_covered, memo, cold } = &arms;
     println!(
         "espresso on {} output functions, identical covers: dense {:.1} ms, \
          cube-list {:.1} ms (speedup {:.2}x)",
@@ -428,7 +531,16 @@ fn main() -> ExitCode {
         memo.answered as f64 * 100.0 / memo.requested.max(1) as f64,
     );
 
-    let doc = report_to_json(&report, &espresso, &verify, &widen, &tables, &remove_covered, memo);
+    let per_arity: Vec<String> =
+        cold.ms_per_function.iter().map(|(n, ms)| format!("n={n} {ms:.3} ms")).collect();
+    println!(
+        "cold synthesis of {} seeded functions, fingerprint {:016x}: {}",
+        cold.functions,
+        cold.fingerprint,
+        per_arity.join(", "),
+    );
+
+    let doc = report_to_json(&report, &arms);
     let text = json::pretty(&doc);
     let path = bench_out_path(&args.json_path);
     if let Err(e) = std::fs::write(&path, &text) {

@@ -194,7 +194,7 @@ const BDD_SWEEP: Schema = Schema {
     derived: &[],
 };
 
-/// `synth_sweep`: every row and total is deterministic.
+/// `synth_sweep`: every row, total and fingerprint is deterministic.
 const SYNTH: Schema = Schema {
     id: "bidecomp-synth-v1",
     rows: &[("instances", &["instance", "output"])],
@@ -203,6 +203,9 @@ const SYNTH: Schema = Schema {
         (Exact, &["average_gain_percent", "espresso/functions", "verify/networks"]),
         (Exact, &["widen/functions", "tables/functions", "remove_covered/functions"]),
         (Exact, &["memo/requested", "memo/answered"]),
+        // Every cold-shaped synthesis bit-identical: gates, branches, area
+        // bits and memo counts of 800 seeded functions, hashed.
+        (Exact, &["cold/functions", "cold/fingerprint"]),
         (Exact, &["instances[]/instance", "instances[]/output", "instances[]/num_vars"]),
         (Exact, &["instances[]/gates", "instances[]/depth", "instances[]/branches"]),
         (Exact, &["instances[]/mapped_area", "instances[]/flat_area", "instances[]/gain_percent"]),
@@ -214,6 +217,7 @@ const SYNTH: Schema = Schema {
         (Informational, &["widen/word_ms", "widen/per_expansion_ms"]),
         (Informational, &["tables/word_ms", "tables/per_minterm_ms"]),
         (Informational, &["remove_covered/linear_ms", "remove_covered/pairwise_ms"]),
+        (Informational, &["cold/ms_per_function/*"]),
     ],
     accounting: &[],
     derived: &[],

@@ -27,12 +27,15 @@
 //!
 //! Finally, [`fuzz`] generates seeded random ISF corpora for the
 //! cross-backend correctness fuzzer (`oracle_fuzz`): deterministic
-//! single-output instances with varied arity and dc-set density.
+//! single-output instances with varied arity and dc-set density, and
+//! [`cold`] generates the small random covers a synthesis service sees as
+//! never-repeated requests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arithmetic;
+pub mod cold;
 pub mod fuzz;
 mod instance;
 pub mod rng;

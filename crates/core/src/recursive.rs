@@ -39,13 +39,12 @@
 //! ```
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 
 use benchmarks::DetRng;
 use boolfunc::{Isf, TruthTable};
 use spp::{FullExpansion, SppForm, SppSynthesizer};
-use techmap::{AreaModel, Network, NodeId, NodeKind};
+use techmap::{AreaModel, MulHashMap, Network, NodeId, NodeKind};
 
 use crate::cache::{cached_full_quotient, SharedQuotientCache};
 use crate::decompose::{
@@ -362,7 +361,7 @@ impl RecursiveSynthesizer {
         let flat_area = self.area_model.spp_area(&flat_form);
         let (tree, root) = self.node(f, &flat_form, flat_area, 0, seed, &mut memo, &mut network);
         network.add_output(root);
-        let mapped_area = self.area_model.mapper().map(&network).area;
+        let mapped_area = self.area_model.mapper().area(&network);
         let verified = verify_network(f, &network, 0);
         let memo = memo.counts;
         Ok(RecursiveSynthesis { network, tree, flat_form, flat_area, mapped_area, verified, memo })
@@ -499,11 +498,14 @@ struct Candidate {
 /// over-approximation is a pure function of the base ISF. Debug builds
 /// re-run the slow path on every hit and assert equality. Bounded: about
 /// ten entries per node that tries the portfolio, of which there are at
-/// most `2^max_depth − 1`, and dropped when the call returns.
+/// most `2^max_depth − 1`, and dropped when the call returns. That bound
+/// is why the maps use the cheap [`MulHashMap`]: a keyed hasher guards
+/// against colliding keys, and colliding keys here would cost one scan of a
+/// few dozen entries.
 struct Memo<'a> {
     synthesizer: &'a SppSynthesizer,
-    forms: HashMap<Isf, SppForm>,
-    over: HashMap<Isf, TruthTable>,
+    forms: MulHashMap<Isf, SppForm>,
+    over: MulHashMap<Isf, TruthTable>,
     counts: MemoCounts,
 }
 
@@ -511,8 +513,8 @@ impl<'a> Memo<'a> {
     fn new(synthesizer: &'a SppSynthesizer) -> Self {
         Memo {
             synthesizer,
-            forms: HashMap::new(),
-            over: HashMap::new(),
+            forms: MulHashMap::default(),
+            over: MulHashMap::default(),
             counts: MemoCounts::default(),
         }
     }

@@ -63,3 +63,43 @@ fn report_aggregates_match_jobs() {
         report.jobs.iter().map(|j| j.gain_percent()).sum::<f64>() / report.jobs.len() as f64;
     assert!((report.average_gain_percent() - mean).abs() < 1e-12);
 }
+
+/// `Mapper::area` is `Mapper::map(..).area` bit for bit, on the flat 2-SPP
+/// network and the recursively bi-decomposed network of the first output of
+/// every suite instance up to 10 inputs, and the census `map` builds from
+/// its per-kind counts is the one the name-keyed census gave (totals over
+/// these networks, recorded before the counts replaced it).
+#[test]
+fn area_without_census_matches_the_mapped_area_on_suite_networks() {
+    let synthesizer = RecursiveSynthesizer::new(RecursiveConfig::default());
+    let mapper = techmap::Mapper::new(techmap::GateLibrary::mcnc());
+    let mut census = std::collections::BTreeMap::new();
+    let mut networks = 0;
+    for inst in Suite::all().instances().iter().filter(|inst| inst.num_inputs() <= 10) {
+        let f = &inst.outputs()[0];
+        let result = synthesizer.synthesize(f).unwrap();
+        let mut flat = techmap::Network::new(f.num_vars());
+        flat.add_spp(&result.flat_form);
+        for network in [&flat, &result.network] {
+            let mapped = mapper.map(network);
+            assert_eq!(mapper.area(network).to_bits(), mapped.area.to_bits(), "{}", inst.name());
+            for (name, count) in mapped.gate_counts {
+                *census.entry(name).or_insert(0usize) += count;
+            }
+            networks += 1;
+        }
+    }
+    let expected = [
+        ("and2", 888),
+        ("inv", 124),
+        ("nand2", 3),
+        ("nor2", 2),
+        ("or2", 277),
+        ("xnor2", 2),
+        ("xor2", 16),
+    ];
+    let expected: Vec<(String, usize)> =
+        expected.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+    assert_eq!(networks, 28);
+    assert_eq!(census.into_iter().collect::<Vec<_>>(), expected);
+}

@@ -96,7 +96,7 @@ impl Value {
     /// Returns a [`JsonError`] with the byte offset of the first problem,
     /// also when arrays and objects nest deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut parser = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -125,6 +125,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -239,13 +241,20 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece:
+            // both are ASCII, so the run ends on a character boundary.
+            let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |len| self.pos + len);
+            out.push_str(&self.text[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
                     self.pos += 1;
@@ -285,19 +294,6 @@ impl Parser<'_> {
                             return Err(self.error(format!("invalid escape '\\{}'", other as char)))
                         }
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input slice is valid UTF-8"),
-                    );
                 }
             }
         }
@@ -383,17 +379,27 @@ impl fmt::Display for Value {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Write each run of bytes that need no escape in one piece: every byte
+    // that does is ASCII, so the runs end on character boundaries.
+    let mut start = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        match escape {
+            Some(text) => f.write_str(text)?,
+            None => write!(f, "\\u{byte:04x}")?,
         }
+        start = i + 1;
     }
+    f.write_str(&s[start..])?;
     f.write_str("\"")
 }
 
@@ -489,6 +495,24 @@ mod tests {
         let text = original.to_string();
         assert_eq!(Value::parse(&text).unwrap(), original);
         assert_eq!(Value::parse(r#""é 😀""#).unwrap(), Value::Str("é 😀".into()));
+
+        // Multi-byte characters right next to escapes, on both sides.
+        let tight = Value::Str("é\"😀\\ü\nß\u{1f}€".into());
+        let text = tight.to_string();
+        assert_eq!(text, "\"é\\\"😀\\\\ü\\nß\\u001f€\"");
+        assert_eq!(Value::parse(&text).unwrap(), tight);
+        assert_eq!(Value::parse(r#""é\"😀\\ü""#).unwrap(), Value::Str("é\"😀\\ü".into()));
+
+        // A surrogate pair between plain runs, and escaped ASCII.
+        let pair = Value::parse(r#""a\ud83d\ude00b\u00e9\u0041""#).unwrap();
+        assert_eq!(pair, Value::Str("a😀bé\u{41}".into()));
+
+        // A request-sized hex table: one long run each way.
+        let hex: String = (0..2048).map(|i| char::from(b"0123456789abcdef"[i * 7 % 16])).collect();
+        let long = Value::Str(hex.clone());
+        assert_eq!(long.to_string(), format!("\"{hex}\""));
+        assert_eq!(Value::parse(&long.to_string()).unwrap(), long);
+        assert!(Value::parse(&format!("\"{hex}")).is_err(), "unterminated long run");
     }
 
     #[test]

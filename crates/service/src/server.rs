@@ -1264,7 +1264,7 @@ fn handle_synthesize(
                         .to_string()
                         .into());
                 }
-                let mapped_area = worker.area.mapper().map(&network).area;
+                let mapped_area = worker.area.mapper().area(&network);
                 Ok(synthesize_response(
                     f,
                     network.gate_count(),

@@ -200,20 +200,26 @@ impl<'a> Tables<'a> {
     /// minterms in increasing order (the order [`Tables::expand`] gives
     /// equal-size cubes), each not yet swallowed expanded, its expansion
     /// clearing the minterms it swallows.
+    ///
+    /// The walk reads the lowest set bit of each `uncovered` word, so
+    /// swallowed minterms and swallowed words cost nothing. An expansion
+    /// holds its seed minterm and every lower uncovered minterm has been
+    /// expanded already, so after each expansion the word's lowest set bit
+    /// is the next minterm to expand.
     fn expand_minterms(&self, on: &TruthTable) -> Cover {
         let mut uncovered = on.as_words().to_vec();
         let mut result = Cover::empty(self.num_vars);
-        for m in on.ones() {
-            if uncovered[(m >> 6) as usize] >> (m & 63) & 1 == 0 {
-                continue;
+        for w in 0..uncovered.len() {
+            while uncovered[w] != 0 {
+                let m = (w as u64) << 6 | u64::from(uncovered[w].trailing_zeros());
+                let minterm = Cube::minterm(self.num_vars, m).expect("arity bounded by the table");
+                let expanded = self.expand_cube(&minterm);
+                let span = self.span(&expanded);
+                for v in span.words() {
+                    uncovered[v] &= !span.bits;
+                }
+                result.push(expanded);
             }
-            let minterm = Cube::minterm(self.num_vars, m).expect("arity bounded by the table");
-            let expanded = self.expand_cube(&minterm);
-            let span = self.span(&expanded);
-            for w in span.words() {
-                uncovered[w] &= !span.bits;
-            }
-            result.push(expanded);
         }
         result.remove_contained_cubes();
         result
@@ -346,6 +352,31 @@ mod tests {
                     let f = Isf::new(on, dc).unwrap();
                     assert_matches_oracle(&f, &format!("n={n} on={on_pct}% dc={dc_pct}% #{trial}"));
                 }
+            }
+        }
+    }
+
+    /// On-sets spanning several words, each word empty, full or sparse: the
+    /// seeding walk meets words with nothing on, words an expansion from an
+    /// earlier word has already cleared, and words it steps through bit by
+    /// bit.
+    #[test]
+    fn multi_word_on_sets_match_the_cube_list_oracle() {
+        let mut next = lcg(0x0770_0880);
+        let mut word = move || match next() % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            _ => (next() << 32 ^ next()) & (next() << 32 ^ next()),
+        };
+        for n in [7, 8] {
+            for trial in 0..24 {
+                let on = TruthTable::from_words(n, &mut word);
+                let dc = match trial % 3 {
+                    0 => TruthTable::zero(n),
+                    _ => TruthTable::from_words(n, &mut word).difference(&on),
+                };
+                let f = Isf::new(on, dc).unwrap();
+                assert_matches_oracle(&f, &format!("n={n} multi-word #{trial}"));
             }
         }
     }

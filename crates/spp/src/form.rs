@@ -139,36 +139,40 @@ impl SppForm {
     ///
     /// Products are visited in order, and product `i` is dropped exactly when
     /// it lies in the union of the kept products before it and all products
-    /// after it. A backward pass stores those suffix unions; a forward pass
-    /// tests each product against its suffix union and a running union of
-    /// the kept products. Product words are recomputed from the factors, not
-    /// stored, so k products take k + 2 tables of working memory and O(k)
-    /// table passes. The kept products, their order and the count are
-    /// identical to the pairwise oracle [`SppForm::remove_covered_pairwise`].
+    /// after it. Each product's words are computed from its factors once,
+    /// into a table both passes read: a backward pass stores the suffix
+    /// unions, and a forward pass tests each product against its suffix
+    /// union and a running union of the kept products. So k products take
+    /// 2k + 1 tables of working memory and O(k) table passes. The kept
+    /// products, their order and the count are identical to the pairwise
+    /// oracle [`SppForm::remove_covered_pairwise`].
     pub fn remove_covered(&mut self) -> usize {
         let before = self.pseudoproducts.len();
         let width = (1usize << self.num_vars).div_ceil(64);
+        let mut tables = vec![0u64; before * width];
+        for (pp, table) in self.pseudoproducts.iter().zip(tables.chunks_exact_mut(width)) {
+            for (w, word) in table.iter_mut().enumerate() {
+                *word = pp.word(w);
+            }
+        }
         // Table i of `after` is the union of products i + 1, i + 2, ...
         let mut after = vec![0u64; before * width];
         for i in (1..before).rev() {
             let (head, next) = after.split_at_mut(i * width);
-            for (w, word) in head[(i - 1) * width..].iter_mut().enumerate() {
-                *word = next[w] | self.pseudoproducts[i].word(w);
+            let product = &tables[i * width..(i + 1) * width];
+            for ((word, n), p) in head[(i - 1) * width..].iter_mut().zip(next).zip(product) {
+                *word = *n | p;
             }
         }
-        let mut after = after.chunks_exact(width);
+        let mut rows = tables.chunks_exact(width).zip(after.chunks_exact(width));
         let mut kept = vec![0u64; width];
-        let mut words = vec![0u64; width];
-        self.pseudoproducts.retain(|pp| {
-            let rest = after.next().expect("one suffix union per product");
-            for (w, word) in words.iter_mut().enumerate() {
-                *word = pp.word(w);
-            }
+        self.pseudoproducts.retain(|_| {
+            let (product, rest) = rows.next().expect("one table per product");
             // Below 6 variables the padding bits repeat the valid ones, so
             // testing whole words decides coverage of the valid minterms.
-            let covered = words.iter().zip(&kept).zip(rest).all(|((p, k), r)| p & !(k | r) == 0);
+            let covered = product.iter().zip(&kept).zip(rest).all(|((p, k), r)| p & !(k | r) == 0);
             if !covered {
-                kept.iter_mut().zip(&words).for_each(|(k, p)| *k |= p);
+                kept.iter_mut().zip(product).for_each(|(k, p)| *k |= p);
             }
             !covered
         });

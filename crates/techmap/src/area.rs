@@ -2,7 +2,7 @@ use boolfunc::Cover;
 use spp::SppForm;
 
 use crate::library::GateLibrary;
-use crate::mapper::{Mapper, MappingResult};
+use crate::mapper::Mapper;
 use crate::network::Network;
 
 /// The binary operator combining the divisor and quotient networks when the
@@ -73,26 +73,16 @@ impl AreaModel {
 
     /// Mapped area of an SOP cover.
     pub fn cover_area(&self, cover: &Cover) -> f64 {
-        self.cover_mapping(cover).area
-    }
-
-    /// Full mapping result of an SOP cover.
-    pub fn cover_mapping(&self, cover: &Cover) -> MappingResult {
         let mut net = Network::new(cover.num_vars());
         net.add_cover(cover);
-        self.mapper.map(&net)
+        self.mapper.area(&net)
     }
 
     /// Mapped area of a 2-SPP form.
     pub fn spp_area(&self, form: &SppForm) -> f64 {
-        self.spp_mapping(form).area
-    }
-
-    /// Full mapping result of a 2-SPP form.
-    pub fn spp_mapping(&self, form: &SppForm) -> MappingResult {
         let mut net = Network::new(form.num_vars());
         net.add_spp(form);
-        self.mapper.map(&net)
+        self.mapper.area(&net)
     }
 
     /// Mapped area of the bi-decomposed form `g op h` where both components
@@ -102,27 +92,13 @@ impl AreaModel {
     ///
     /// Panics if the two forms have a different number of variables.
     pub fn bidecomposition_area(&self, g: &SppForm, h: &SppForm, op: CombineOp) -> f64 {
-        self.bidecomposition_mapping(g, h, op).area
-    }
-
-    /// Full mapping result of the bi-decomposed form `g op h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two forms have a different number of variables.
-    pub fn bidecomposition_mapping(
-        &self,
-        g: &SppForm,
-        h: &SppForm,
-        op: CombineOp,
-    ) -> MappingResult {
         assert_eq!(g.num_vars(), h.num_vars(), "divisor/quotient arity mismatch");
         let mut net = Network::new(g.num_vars());
         let g_root = net.build_spp(g);
         let h_root = net.build_spp(h);
         let combined = net.combine(g_root, h_root, op);
         net.add_output(combined);
-        self.mapper.map(&net)
+        self.mapper.area(&net)
     }
 }
 

@@ -59,12 +59,14 @@
 
 mod area;
 mod gate;
+mod hash;
 mod library;
 mod mapper;
 mod network;
 
 pub use area::{AreaModel, CombineOp};
 pub use gate::{Gate, GateKind};
+pub use hash::{MulHashMap, MulHasher};
 pub use library::GateLibrary;
 pub use mapper::{Mapper, MappingResult};
 pub use network::{Network, NodeId, NodeKind};

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::gate::GateKind;
+use crate::gate::{Gate, GateKind};
 use crate::library::GateLibrary;
 use crate::network::{Network, NodeId, NodeKind};
 
@@ -57,12 +57,35 @@ impl fmt::Display for MappingResult {
 #[derive(Debug, Clone)]
 pub struct Mapper {
     library: GateLibrary,
+    /// The cheapest library gate of each [`MAPPED_KINDS`] entry, if the
+    /// library has one.
+    best: [Option<Gate>; MAPPED_KINDS.len()],
+}
+
+/// The gate kinds the local covering instantiates, in the order of
+/// [`Mapper`]'s per-kind tables.
+const MAPPED_KINDS: [GateKind; 7] = [
+    GateKind::Inv,
+    GateKind::Nand2,
+    GateKind::Nor2,
+    GateKind::And2,
+    GateKind::Or2,
+    GateKind::Xor2,
+    GateKind::Xnor2,
+];
+
+/// What one covering walk adds up: the instances of each
+/// [`MAPPED_KINDS`] entry, and the area summed gate by gate in walk order.
+struct Tally {
+    counts: [usize; MAPPED_KINDS.len()],
+    area: f64,
 }
 
 impl Mapper {
     /// Creates a mapper over the given library.
     pub fn new(library: GateLibrary) -> Self {
-        Mapper { library }
+        let best = MAPPED_KINDS.map(|kind| library.best(kind).cloned());
+        Mapper { library, best }
     }
 
     /// The library used by this mapper.
@@ -77,19 +100,43 @@ impl Mapper {
     /// Panics if the library is missing one of the required gate kinds
     /// (`inv`, `nand2`, `nor2`, `and2`, `or2`, `xor2`, `xnor2`).
     pub fn map(&self, network: &Network) -> MappingResult {
+        let tally = self.cover(network);
+        let mut gate_counts: BTreeMap<String, usize> = BTreeMap::new();
+        for (slot, &count) in tally.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            let name = self.gate(slot).name().to_string();
+            *gate_counts.entry(name).or_insert(0) += count;
+        }
+        MappingResult { area: tally.area, gate_counts }
+    }
+
+    /// The total area [`Mapper::map`] reports, bit for bit, without
+    /// building the per-gate census: what area scoring needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Mapper::map`].
+    pub fn area(&self, network: &Network) -> f64 {
+        self.cover(network).area
+    }
+
+    /// The cheapest library gate of `MAPPED_KINDS[slot]`.
+    fn gate(&self, slot: usize) -> &Gate {
+        self.best[slot]
+            .as_ref()
+            .unwrap_or_else(|| panic!("library has no gate of kind {:?}", MAPPED_KINDS[slot]))
+    }
+
+    /// The covering walk behind [`Mapper::map`] and [`Mapper::area`].
+    fn cover(&self, network: &Network) -> Tally {
         let fanouts = network.fanouts();
-        let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut area = 0.0;
+        let mut tally = Tally { counts: [0; MAPPED_KINDS.len()], area: 0.0 };
         // Nodes absorbed into a NAND/NOR/XNOR peephole match.
         let mut absorbed = vec![false; network.num_nodes()];
 
-        let add_gate = |kind: GateKind, counts: &mut BTreeMap<String, usize>, area: &mut f64| {
-            let gate = self
-                .library
-                .best(kind)
-                .unwrap_or_else(|| panic!("library has no gate of kind {kind:?}"));
-            *counts.entry(gate.name().to_string()).or_insert(0) += 1;
-            *area += gate.area();
+        let mut add_gate = |kind: GateKind| {
+            let slot = MAPPED_KINDS.iter().position(|&k| k == kind).expect("a mapped kind");
+            tally.counts[slot] += 1;
+            tally.area += self.gate(slot).area();
         };
 
         // Walk nodes in reverse creation order so that inverters are seen
@@ -107,25 +154,25 @@ impl Mapper {
                     match (inner_kind, can_absorb) {
                         (NodeKind::And(_, _), true) => {
                             absorbed[inner.index()] = true;
-                            add_gate(GateKind::Nand2, &mut counts, &mut area);
+                            add_gate(GateKind::Nand2);
                         }
                         (NodeKind::Or(_, _), true) => {
                             absorbed[inner.index()] = true;
-                            add_gate(GateKind::Nor2, &mut counts, &mut area);
+                            add_gate(GateKind::Nor2);
                         }
                         (NodeKind::Xor(_, _), true) => {
                             absorbed[inner.index()] = true;
-                            add_gate(GateKind::Xnor2, &mut counts, &mut area);
+                            add_gate(GateKind::Xnor2);
                         }
-                        _ => add_gate(GateKind::Inv, &mut counts, &mut area),
+                        _ => add_gate(GateKind::Inv),
                     }
                 }
-                NodeKind::And(_, _) => add_gate(GateKind::And2, &mut counts, &mut area),
-                NodeKind::Or(_, _) => add_gate(GateKind::Or2, &mut counts, &mut area),
-                NodeKind::Xor(_, _) => add_gate(GateKind::Xor2, &mut counts, &mut area),
+                NodeKind::And(_, _) => add_gate(GateKind::And2),
+                NodeKind::Or(_, _) => add_gate(GateKind::Or2),
+                NodeKind::Xor(_, _) => add_gate(GateKind::Xor2),
             }
         }
-        MappingResult { area, gate_counts: counts }
+        tally
     }
 }
 
@@ -219,5 +266,18 @@ mod tests {
             })
             .sum();
         assert!((recomputed - r.area).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "library has no gate of kind Xor2")]
+    fn area_panics_on_a_missing_gate_kind_like_map() {
+        let mut lib = GateLibrary::new("no-xor");
+        lib.add(crate::Gate::new("and2", GateKind::And2, 2.0));
+        let mut net = Network::new(2);
+        let x0 = net.input(0);
+        let x1 = net.input(1);
+        let x = net.xor(x0, x1);
+        net.add_output(x);
+        let _ = Mapper::new(lib).area(&net);
     }
 }

@@ -1,10 +1,10 @@
-use std::collections::HashMap;
 use std::fmt;
 
 use boolfunc::{Cover, CubeValue};
 use spp::{SppForm, XorFactor};
 
 use crate::area::CombineOp;
+use crate::hash::MulHashMap;
 
 /// Identifier of a node inside a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,14 +63,14 @@ pub enum NodeKind {
 pub struct Network {
     num_inputs: usize,
     nodes: Vec<NodeKind>,
-    hash: HashMap<NodeKind, NodeId>,
+    hash: MulHashMap<NodeKind, NodeId>,
     outputs: Vec<NodeId>,
 }
 
 impl Network {
     /// Creates an empty network with `num_inputs` primary inputs.
     pub fn new(num_inputs: usize) -> Self {
-        Network { num_inputs, nodes: Vec::new(), hash: HashMap::new(), outputs: Vec::new() }
+        Network { num_inputs, nodes: Vec::new(), hash: MulHashMap::default(), outputs: Vec::new() }
     }
 
     /// Number of primary inputs.
