@@ -51,7 +51,11 @@
 //! `remove_covered_pairwise` on every output function's merged, not yet
 //! pruned form. The run fails unless the tables, and the kept products with
 //! their order and count, are identical; `regress` holds both ratios above
-//! the `speed-ratio` floor.
+//! the `speed-ratio` floor. Synthesis itself no longer prunes these forms
+//! (a merged espresso cover holds no covered product, so every product is
+//! kept here too); the arm times the kernel that `spp::BoundedExpansion`
+//! and `SppSynthesizer::improve_cover` still run, on forms of the suite's
+//! real sizes.
 //!
 //! The `memo` block totals, over those same one-thread syntheses, how many
 //! 2-SPP syntheses the recursion requested (`requested`) and how many its
@@ -213,9 +217,10 @@ fn tables_arm(forms: &[SppForm]) -> Result<ReferenceArm, String> {
 }
 
 /// Times the linear-pass `SppForm::remove_covered` against its pairwise
-/// oracle on every output function's merged, not yet pruned 2-SPP form
-/// (each run prunes a fresh copy), and checks that both keep the same
-/// products in the same order.
+/// oracle on every output function's merged 2-SPP form, the form
+/// `SppSynthesizer::synthesize` returns without pruning (each run prunes a
+/// fresh copy), and checks that both keep the same products in the same
+/// order (neither drops a product on these forms).
 fn remove_covered_arm(functions: &[&Isf]) -> Result<ReferenceArm, String> {
     let synthesizer = SppSynthesizer::new();
     let options = synthesizer.options().espresso;

@@ -389,19 +389,17 @@ impl RecursiveSynthesizer {
         if f.on().is_zero() {
             return (leaf(LeafKind::Constant(false)), net.constant(false));
         }
-        if f.off().is_zero() {
+        let off = f.off();
+        if off.is_zero() {
             return (leaf(LeafKind::Constant(true)), net.constant(true));
         }
         for var in 0..f.num_vars() {
-            let x = TruthTable::variable(f.num_vars(), var);
-            if f.is_completion(&x) {
-                let node = net.input(var);
-                return (leaf(LeafKind::Literal { var, positive: true }), node);
-            }
-            if f.is_completion(&!&x) {
-                let node = net.input(var);
-                let node = net.not(node);
-                return (leaf(LeafKind::Literal { var, positive: false }), node);
+            for positive in [true, false] {
+                if completes_to_literal(f.on(), &off, var, positive) {
+                    let node = net.input(var);
+                    let node = if positive { node } else { net.not(node) };
+                    return (leaf(LeafKind::Literal { var, positive }), node);
+                }
             }
         }
         if f_form.num_pseudoproducts() <= 1 {
@@ -573,6 +571,19 @@ impl<'a> Memo<'a> {
     }
 }
 
+/// Is the literal `x_var` (`x_var'` when not `positive`) a completion of
+/// the ISF with on-set `on` and off-set `off`? It is when no on-minterm has
+/// the literal false and no off-minterm has it true, which is checked word
+/// by word against [`TruthTable::variable_word`] without building the
+/// literal's table. Padding bits beyond `2^n` are zero in both sets.
+fn completes_to_literal(on: &TruthTable, off: &TruthTable, var: usize, positive: bool) -> bool {
+    on.as_words().iter().zip(off.as_words()).enumerate().all(|(w, (&on, &off))| {
+        let x = TruthTable::variable_word(var, w);
+        let x = if positive { x } else { !x };
+        on & !x == 0 && off & x == 0
+    })
+}
+
 /// Mixes the per-node seed into a [`ApproxStrategy::Seeded`] entry; other
 /// strategies are seed-independent.
 fn mix_strategy(strategy: ApproxStrategy, seed: u64) -> ApproxStrategy {
@@ -641,6 +652,43 @@ mod tests {
 
     fn fig2() -> Isf {
         Isf::from_cover_str(4, &["1-10", "1-01", "-111", "-100"], &[]).unwrap()
+    }
+
+    /// The word test of a literal leaf agrees with building the literal's
+    /// table and asking [`Isf::is_completion`], on ISFs of 1–9 inputs whose
+    /// on-set is a literal's, a literal's with minterms moved to dc or off,
+    /// or random.
+    #[test]
+    fn literal_completion_by_words_matches_is_completion() {
+        let mut rng = DetRng::seed_from_u64(0x11EA);
+        let mut hits = 0;
+        for n in 1..=9 {
+            for round in 0..24 {
+                let x = TruthTable::variable(n, round % n);
+                let x = if round % 3 == 0 { !&x } else { x };
+                let noise = TruthTable::from_fn(n, |_| rng.next_u64().is_multiple_of(8));
+                let on = match round % 4 {
+                    0 => x.clone(),
+                    1 => x.difference(&noise),
+                    2 => &x ^ &noise,
+                    _ => TruthTable::from_fn(n, |_| rng.next_u64().is_multiple_of(2)),
+                };
+                let dc =
+                    TruthTable::from_fn(n, |_| rng.next_u64().is_multiple_of(4)).difference(&on);
+                let f = Isf::new(on, dc).unwrap();
+                let off = f.off();
+                for var in 0..n {
+                    let x = TruthTable::variable(n, var);
+                    for (positive, x) in [(true, x.clone()), (false, !&x)] {
+                        let expected = f.is_completion(&x);
+                        let by_words = completes_to_literal(f.on(), &off, var, positive);
+                        assert_eq!(by_words, expected, "n={n} #{round} x{var} {positive}");
+                        hits += usize::from(expected);
+                    }
+                }
+            }
+        }
+        assert!(hits >= 50, "only {hits} literal completions");
     }
 
     #[test]

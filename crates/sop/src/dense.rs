@@ -18,6 +18,27 @@
 //! A cube maps onto the table as a span: one in-word minterm mask for its
 //! literals on variables 0–5, plus the set of 64-bit words its literals on
 //! variables 6 and up select.
+//!
+//! Two exits leave the REDUCE → EXPAND → IRREDUNDANT iteration as soon as
+//! its outcome is fixed; both return the cover the full loop returns.
+//!
+//! * **Every cube essential.** When each cube `c` of the first IRREDUNDANT
+//!   cover holds an on-minterm `m` whose neighbour across every literal
+//!   variable of `c` is in the off-set, every implicant through `m` lies
+//!   inside `c`, so `c` is the only prime through `m`, and the cover is the
+//!   unique irredundant prime cover. The first iteration can only confirm
+//!   it: REDUCE keeps each `m` in its cube's reduced cube (no other cube
+//!   holds it), EXPAND grows that cube back to `c` (the only prime through
+//!   `m`), IRREDUNDANT keeps every cube, and the loop stops at equal cost.
+//!   So the first cover is returned without the iteration.
+//! * **EXPAND returned the current cubes.** Inside the loop the current
+//!   cover is always the best one (an iteration that does not lower the
+//!   cost ends it). When EXPAND hands back exactly its cubes, IRREDUNDANT
+//!   would keep all of them, since none lies inside the others plus `dc`,
+//!   so the cost cannot drop and the loop stops before IRREDUNDANT.
+//!
+//! The cube-list [`crate::espresso_cover`] has neither exit: it runs every
+//! step it reaches, and the tests hold the dense covers to it cube for cube.
 
 use std::cmp::Reverse;
 
@@ -57,17 +78,21 @@ pub fn espresso_isf(f: &Isf, options: EspressoOptions) -> Cover {
 
     let mut current = tables.expand_minterms(f.on());
     current = tables.irredundant(&current);
+    if !options.use_reduce || tables.all_essential(f.on(), &current) {
+        return current;
+    }
     let mut best = current.clone();
     let mut best_cost = Cost::of(&best);
 
-    if !options.use_reduce {
-        return best;
-    }
-
     for _ in 0..options.max_iterations {
-        current = tables.reduce(&current);
-        current = tables.expand(&current);
-        current = tables.irredundant(&current);
+        // `current` is `best` here: every iteration that does not lower the
+        // cost ends the loop.
+        let reduced = tables.reduce(&current);
+        let expanded = tables.expand(&reduced);
+        if same_cubes(&expanded, &current) {
+            break;
+        }
+        current = tables.irredundant(&expanded);
         let cost = Cost::of(&current);
         if cost < best_cost {
             best_cost = cost;
@@ -77,6 +102,15 @@ pub fn espresso_isf(f: &Isf, options: EspressoOptions) -> Cover {
         }
     }
     best
+}
+
+/// Does [`Tables::expand`]'s result hold exactly the cubes of `cover`? It
+/// comes out sorted and without duplicates, and so does an irredundant
+/// `cover` once sorted.
+fn same_cubes(expanded: &Cover, cover: &Cover) -> bool {
+    let mut cubes = cover.cubes().to_vec();
+    cubes.sort();
+    expanded.cubes() == cubes.as_slice()
 }
 
 /// A cube laid over a truth table: the minterm mask its literals on
@@ -262,6 +296,46 @@ impl<'a> Tables<'a> {
         Cover::from_cubes(cover.num_vars(), kept)
     }
 
+    /// Is every cube of `cover` the only prime holding one of its
+    /// on-minterms? See [`Tables::has_witness`].
+    fn all_essential(&self, on: &TruthTable, cover: &Cover) -> bool {
+        cover.iter().all(|cube| self.has_witness(on.as_words(), cube))
+    }
+
+    /// Does `cube` hold an on-minterm `m` whose neighbour `m ⊕ e_v` across
+    /// every literal variable `v` of the cube lies in the off-set? Every
+    /// implicant containing such an `m` keeps all of the cube's literals,
+    /// so it lies inside the cube: for a prime cube, the witness makes it
+    /// the only prime through `m`, an essential prime. Conversely, if an
+    /// essential prime's on-minterm `m` lies in no other prime and had a
+    /// neighbour `m ⊕ e_v` in `on ∪ dc`, the prime through both would be
+    /// another one.
+    ///
+    /// Word-parallel: on each word of the cube, the candidates are its
+    /// on-minterms, narrowed per literal by the off-set shifted across that
+    /// variable (a shift inside the word for variables 0–5, the partner
+    /// word for the others).
+    fn has_witness(&self, on: &[u64], cube: &Cube) -> bool {
+        let span = self.span(cube);
+        let literals = cube.mask();
+        span.words().any(|w| {
+            let mut candidates = span.bits & on[w];
+            for var in (0..self.num_vars).filter(|&v| literals >> v & 1 == 1) {
+                if candidates == 0 {
+                    break;
+                }
+                candidates &= match TruthTable::VAR_PATTERNS.get(var) {
+                    Some(&pattern) => {
+                        let shift = 1 << var;
+                        (self.off[w] >> shift & !pattern) | (self.off[w] << shift & pattern)
+                    }
+                    None => self.off[w ^ 1 << (var - 6)],
+                };
+            }
+            candidates != 0
+        })
+    }
+
     /// REDUCE: the skeleton of [`crate::reduce`], largest cubes first, each
     /// shrunk to the supercube of the minterms only it covers (or dropped).
     fn reduce(&mut self, cover: &Cover) -> Cover {
@@ -397,6 +471,151 @@ mod tests {
                 assert_matches_oracle(f, &format!("n={n} {what}"));
             }
         }
+    }
+
+    /// A cold-shaped ISF, the shape of a synthesis service's fresh
+    /// requests: eight on-cubes and two dc-cubes of two or three literals
+    /// (a variable drawn twice keeps its last polarity).
+    fn cold_isf(next: &mut impl FnMut() -> u64, n: usize) -> Isf {
+        let mut cubes = |count: usize| -> Vec<Cube> {
+            (0..count)
+                .map(|_| {
+                    let (mut mask, mut value) = (0u64, 0u64);
+                    for _ in 0..2 + next() % 2 {
+                        let var = next() % n as u64;
+                        mask |= 1 << var;
+                        value = value & !(1 << var) | (next() & 1) << var;
+                    }
+                    Cube::from_masks(n, mask, value).unwrap()
+                })
+                .collect()
+        };
+        let on = TruthTable::from_cubes(n, &cubes(8));
+        let dc = TruthTable::from_cubes(n, &cubes(2)).difference(&on);
+        Isf::new(on, dc).unwrap()
+    }
+
+    /// Every prime implicant of `on ∪ dc`, from all 3^n cubes.
+    fn primes(f: &Isf) -> Vec<Cube> {
+        let n = f.num_vars();
+        let care = f.max_completion();
+        let implicant = |c: &Cube| TruthTable::from_cubes(n, &[*c]).is_subset_of(&care);
+        let mut primes = Vec::new();
+        for mask in 0..1u64 << n {
+            // Every `value ⊆ mask`, by the subset walk.
+            let mut value = 0u64;
+            loop {
+                let cube = Cube::from_masks(n, mask, value).unwrap();
+                let raised = (0..n).filter(|&v| mask >> v & 1 == 1);
+                if implicant(&cube)
+                    && raised
+                        .map(|v| cube.with_value(v, CubeValue::DontCare))
+                        .all(|c| !implicant(&c))
+                {
+                    primes.push(cube);
+                }
+                if value == mask {
+                    break;
+                }
+                value = value.wrapping_sub(mask) & mask;
+            }
+        }
+        primes
+    }
+
+    /// Is `primes[i]` essential: does one of its on-minterms lie in no
+    /// other prime?
+    fn essential(f: &Isf, primes: &[Cube], i: usize) -> bool {
+        (0..1u64 << f.num_vars()).any(|m| {
+            f.on().get(m)
+                && primes[i].contains_minterm(m)
+                && primes.iter().enumerate().all(|(j, p)| j == i || !p.contains_minterm(m))
+        })
+    }
+
+    /// The witness test against brute-force essentiality on every prime of
+    /// random ISFs on up to 6 inputs, and the exit's verdict on the first
+    /// IRREDUNDANT cover against "every cube essential".
+    fn check_witness_is_essentiality(rounds: usize) {
+        let mut next = lcg(0xE55E_0001);
+        let grid = [(10, 0), (30, 20), (50, 10), (20, 60), (70, 0), (45, 45), (85, 10)];
+        let (mut counts, mut exits) = ([0usize; 2], [0usize; 2]);
+        for n in 1..=6 {
+            for round in 0..rounds {
+                let (on_pct, dc_pct) = grid[(n + round) % grid.len()];
+                let on = TruthTable::from_fn(n, |_| next() % 100 < on_pct);
+                let dc = TruthTable::from_fn(n, |_| next() % 100 < dc_pct).difference(&on);
+                let f = Isf::new(on, dc).unwrap();
+                if f.on().is_zero() || f.off().is_zero() {
+                    continue;
+                }
+                let what = format!("n={n} on={on_pct}% dc={dc_pct}% #{round}");
+                let mut tables = Tables::new(&f);
+                let primes = primes(&f);
+                let verdicts: Vec<bool> =
+                    (0..primes.len()).map(|i| essential(&f, &primes, i)).collect();
+                for (prime, &essential) in primes.iter().zip(&verdicts) {
+                    let witness = tables.has_witness(f.on().as_words(), prime);
+                    assert_eq!(witness, essential, "{what}: prime {prime}");
+                    counts[usize::from(essential)] += 1;
+                }
+                let first = tables.expand_minterms(f.on());
+                let first = tables.irredundant(&first);
+                let all =
+                    first.iter().all(|c| verdicts[primes.iter().position(|p| p == c).unwrap()]);
+                assert_eq!(tables.all_essential(f.on(), &first), all, "{what}: cover {first}");
+                exits[usize::from(all)] += 1;
+            }
+        }
+        // Both verdicts occur, for single primes and for whole covers.
+        assert!(counts.iter().chain(&exits).all(|&c| c >= rounds), "{counts:?} {exits:?}");
+    }
+
+    #[test]
+    fn witness_is_brute_force_essentiality() {
+        check_witness_is_essentiality(30);
+    }
+
+    /// The nightly variant: ten times the rounds per arity.
+    #[test]
+    #[ignore = "nightly: run with --release --ignored"]
+    fn witness_is_brute_force_essentiality_deep() {
+        check_witness_is_essentiality(300);
+    }
+
+    /// On cold-shaped ISFs (9–12 inputs, `rounds` per arity) the
+    /// every-cube-essential exit fires in at least a third of the runs, and
+    /// the covers, exits taken or not, equal the cube-list oracle's.
+    fn check_essential_exit_on_cold_isfs(rounds: usize) {
+        let mut next = lcg(0xC01D);
+        let (mut fired, mut runs) = (0, 0);
+        for n in 9..=12 {
+            for round in 0..rounds {
+                let f = cold_isf(&mut next, n);
+                let what = format!("n={n} cold #{round}");
+                assert_matches_oracle(&f, &what);
+                let mut tables = Tables::new(&f);
+                if tables.off.iter().any(|&w| w != 0) {
+                    let first = tables.expand_minterms(f.on());
+                    let first = tables.irredundant(&first);
+                    fired += usize::from(tables.all_essential(f.on(), &first));
+                }
+                runs += 1;
+            }
+        }
+        assert!(3 * fired >= runs, "the exit fired in {fired} of {runs} runs");
+    }
+
+    #[test]
+    fn essential_exit_fires_on_cold_isfs() {
+        check_essential_exit_on_cold_isfs(12);
+    }
+
+    /// The nightly variant: ten times the rounds per arity.
+    #[test]
+    #[ignore = "nightly: run with --release --ignored"]
+    fn essential_exit_fires_on_cold_isfs_deep() {
+        check_essential_exit_on_cold_isfs(120);
     }
 
     #[test]

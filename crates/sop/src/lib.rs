@@ -16,7 +16,7 @@
 //! * [`mod@espresso`] — the EXPAND → IRREDUNDANT → REDUCE iteration on cube
 //!   lists;
 //! * [`mod@dense`] — the same iteration on the function's truth tables, the
-//!   production path;
+//!   production path, which leaves it early once its outcome is fixed;
 //! * [`mod@exact`] — Quine–McCluskey prime generation plus unate covering, used as
 //!   a reference minimizer for small functions in tests and examples.
 //!

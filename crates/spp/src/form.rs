@@ -146,6 +146,12 @@ impl SppForm {
     /// 2k + 1 tables of working memory and O(k) table passes. The kept
     /// products, their order and the count are identical to the pairwise
     /// oracle [`SppForm::remove_covered_pairwise`].
+    ///
+    /// Two callers still prune: [`crate::BoundedExpansion`] after each
+    /// expansion, whose grown product may swallow others, and
+    /// [`crate::SppSynthesizer::improve_cover`] on a caller's cover.
+    /// [`crate::SppSynthesizer::synthesize`] does not: its merged espresso
+    /// cover never holds a covered product (debug builds check).
     pub fn remove_covered(&mut self) -> usize {
         let before = self.pseudoproducts.len();
         let width = (1usize << self.num_vars).div_ceil(64);

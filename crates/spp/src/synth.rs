@@ -62,12 +62,30 @@ impl SppSynthesizer {
 
     /// Synthesizes a 2-SPP form realizing the ISF `f`: espresso on its truth
     /// tables ([`sop::espresso_isf`]), then pseudoproduct merging.
+    ///
+    /// The result equals [`SppSynthesizer::improve_cover`] of the espresso
+    /// cover, but skips its final [`SppForm::remove_covered`], which can
+    /// drop nothing here. Espresso's cover is irredundant: no cube lies
+    /// inside the other cubes plus `dc`. Both merge rules replace two
+    /// products by exactly their union, so every merged product is the
+    /// union of its own group of cubes, the groups partitioning the cover.
+    /// A product inside the others would put each cube of its group inside
+    /// the other groups' cubes. Debug builds prune the result and assert
+    /// that nothing went.
     pub fn synthesize(&self, f: &Isf) -> SppForm {
-        self.improve_cover(&espresso_isf(f, self.options.espresso))
+        let form = self.merge_cover(&espresso_isf(f, self.options.espresso));
+        debug_assert_eq!(form.clone().remove_covered(), 0, "merged espresso cover is irredundant");
+        form
     }
 
     /// Runs only the pseudoproduct-merging phase on an existing SOP cover:
     /// [`SppSynthesizer::merge_cover`], then [`SppForm::remove_covered`].
+    ///
+    /// The pruning is for covers of unknown origin, which may hold a cube
+    /// inside the others. On an irredundant cover (any espresso result,
+    /// such as the cube-list cover perfbench's traced replay hands in) it
+    /// drops nothing, which is why [`SppSynthesizer::synthesize`] leaves it
+    /// out.
     pub fn improve_cover(&self, cover: &Cover) -> SppForm {
         let mut form = self.merge_cover(cover);
         form.remove_covered();
@@ -180,6 +198,7 @@ fn as_literal_pair(factors: &[XorFactor]) -> Option<((usize, bool), (usize, bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Lcg;
     use boolfunc::TruthTable;
 
     #[test]
@@ -289,6 +308,62 @@ mod tests {
             let form = SppSynthesizer::new().synthesize(&f);
             assert!(form.matches(&f), "form {form} does not realize {f:?}");
         }
+    }
+
+    /// Espresso's cover, merged, holds no product inside the others, so
+    /// [`SppSynthesizer::synthesize`] (which does not prune) returns what
+    /// [`SppSynthesizer::improve_cover`] (which does) returns. Checked under
+    /// both espresso shapes on `rounds` random ISFs per arity up to
+    /// `max_vars` (on 5–90%, dc 0–60%) and `rounds` cold-shaped ones per
+    /// arity 9–12.
+    fn check_merged_espresso_covers_are_irredundant(rounds: usize, max_vars: usize) {
+        let shapes = [
+            EspressoOptions { max_iterations: 8, use_reduce: true },
+            EspressoOptions { max_iterations: 1, use_reduce: false },
+        ];
+        let grid = [(5, 0), (20, 40), (50, 10), (90, 0), (35, 60), (70, 30)];
+        let mut rng = Lcg(0x1DDE_D0C5);
+        let mut cases = Vec::new();
+        for n in 1..=max_vars {
+            for round in 0..rounds {
+                let (on_pct, dc_pct) = grid[(n + round) % grid.len()];
+                let f = rng.isf_with_density(n, on_pct, dc_pct);
+                cases.push((format!("n={n} on={on_pct}% dc={dc_pct}% #{round}"), f));
+            }
+        }
+        for n in 9..=12 {
+            for round in 0..rounds {
+                cases.push((format!("n={n} cold #{round}"), rng.cold_isf(n)));
+            }
+        }
+        for (what, f) in &cases {
+            for espresso in shapes {
+                let synthesizer = SppSynthesizer { options: SynthesisOptions { espresso } };
+                let form = synthesizer.synthesize(f);
+                assert!(form.matches(f), "{what}, {espresso:?}");
+                // `synthesize` is `merge_cover` of the espresso cover.
+                assert_eq!(form.clone().remove_covered_pairwise(), 0, "{what}, {espresso:?}");
+                let cover = espresso_isf(f, espresso);
+                assert_eq!(form, synthesizer.improve_cover(&cover), "{what}, {espresso:?}");
+            }
+        }
+    }
+
+    /// Dense random ISFs stop at 10 inputs here: merging their covers of
+    /// hundreds of cubes on 11–12 inputs takes seconds in debug builds.
+    /// The cold-shaped ISFs cover 9–12 inputs, and the nightly variant
+    /// every arity.
+    #[test]
+    fn merged_espresso_covers_are_irredundant() {
+        check_merged_espresso_covers_are_irredundant(4, 10);
+    }
+
+    /// The nightly variant: ten times the rounds per arity, dense random
+    /// ISFs on 1–12 inputs.
+    #[test]
+    #[ignore = "nightly: run with --release --ignored"]
+    fn merged_espresso_covers_are_irredundant_deep() {
+        check_merged_espresso_covers_are_irredundant(40, 12);
     }
 
     #[test]

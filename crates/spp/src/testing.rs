@@ -1,7 +1,7 @@
 //! Seeded random factors, products, forms and functions for the property
 //! tests that hold each word-parallel kernel to its oracle.
 
-use boolfunc::{Isf, TruthTable};
+use boolfunc::{Cube, Isf, TruthTable};
 
 use crate::form::SppForm;
 use crate::pseudoproduct::Pseudoproduct;
@@ -45,6 +45,36 @@ impl Lcg {
     pub(crate) fn form(&mut self, n: usize) -> SppForm {
         let pps = (0..self.below(6)).map(|_| self.product(n, 6)).collect();
         SppForm::new(n, pps)
+    }
+
+    /// An ISF with about `on_pct`% of the minterms on and `dc_pct`% of the
+    /// others don't-care.
+    pub(crate) fn isf_with_density(&mut self, n: usize, on_pct: usize, dc_pct: usize) -> Isf {
+        let on = TruthTable::from_fn(n, |_| self.below(100) < on_pct);
+        let dc = TruthTable::from_fn(n, |_| self.below(100) < dc_pct).difference(&on);
+        Isf::new(on, dc).unwrap()
+    }
+
+    /// A cold-shaped ISF, the shape of a synthesis service's fresh
+    /// requests: eight on-cubes and two dc-cubes of two or three literals
+    /// (a variable drawn twice keeps its last polarity).
+    pub(crate) fn cold_isf(&mut self, n: usize) -> Isf {
+        let mut cubes = |count: usize| -> Vec<Cube> {
+            (0..count)
+                .map(|_| {
+                    let (mut mask, mut value) = (0u64, 0u64);
+                    for _ in 0..2 + self.below(2) {
+                        let var = self.below(n);
+                        mask |= 1 << var;
+                        value = value & !(1 << var) | (self.below(2) as u64) << var;
+                    }
+                    Cube::from_masks(n, mask, value).unwrap()
+                })
+                .collect()
+        };
+        let on = TruthTable::from_cubes(n, &cubes(8));
+        let dc = TruthTable::from_cubes(n, &cubes(2)).difference(&on);
+        Isf::new(on, dc).unwrap()
     }
 
     pub(crate) fn isf(&mut self, n: usize) -> Isf {

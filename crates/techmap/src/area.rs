@@ -80,7 +80,7 @@ impl AreaModel {
 
     /// Mapped area of a 2-SPP form.
     pub fn spp_area(&self, form: &SppForm) -> f64 {
-        let mut net = Network::new(form.num_vars());
+        let mut net = Network::with_capacity(form.num_vars(), Network::spp_node_bound(form));
         net.add_spp(form);
         self.mapper.area(&net)
     }
@@ -93,7 +93,9 @@ impl AreaModel {
     /// Panics if the two forms have a different number of variables.
     pub fn bidecomposition_area(&self, g: &SppForm, h: &SppForm, op: CombineOp) -> f64 {
         assert_eq!(g.num_vars(), h.num_vars(), "divisor/quotient arity mismatch");
-        let mut net = Network::new(g.num_vars());
+        // The top gate adds at most a gate and an inverter.
+        let nodes = Network::spp_node_bound(g) + Network::spp_node_bound(h) + 2;
+        let mut net = Network::with_capacity(g.num_vars(), nodes);
         let g_root = net.build_spp(g);
         let h_root = net.build_spp(h);
         let combined = net.combine(g_root, h_root, op);

@@ -73,6 +73,28 @@ impl Network {
         Network { num_inputs, nodes: Vec::new(), hash: MulHashMap::default(), outputs: Vec::new() }
     }
 
+    /// Creates an empty network whose node list and structural-hash map
+    /// hold `nodes` nodes before either grows. Sized from an upper bound on
+    /// what will be built (see [`Network::spp_node_bound`]), interning never
+    /// rehashes; the network is the one [`Network::new`] would build.
+    pub(crate) fn with_capacity(num_inputs: usize, nodes: usize) -> Self {
+        Network {
+            num_inputs,
+            nodes: Vec::with_capacity(nodes),
+            hash: MulHashMap::with_capacity_and_hasher(nodes, Default::default()),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// An upper bound on the nodes [`Network::build_spp`] adds for `form`:
+    /// each literal brings at most its input and an inverter (an XOR factor
+    /// one XOR2 and one inverter for two inputs), each factor past a
+    /// product's first one AND2, each product past the first one OR2, and
+    /// constant folding at most the two constants.
+    pub(crate) fn spp_node_bound(form: &SppForm) -> usize {
+        3 * form.literal_count() + form.num_pseudoproducts() + 2
+    }
+
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
         self.num_inputs
@@ -536,6 +558,87 @@ mod tests {
         let tt = form.to_truth_table();
         for m in 0..16u64 {
             assert_eq!(net.eval(m)[0], tt.get(m));
+        }
+    }
+
+    /// Forms of up to six products over 1–12 variables: literals of both
+    /// polarities, XOR/XNOR factors, repeated variables, the constant-one
+    /// product and the empty form.
+    fn random_forms() -> Vec<SppForm> {
+        let mut state = 0x5A5Au64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut forms = Vec::new();
+        for n in 1..=12 {
+            forms.push(SppForm::zero(n));
+            forms.push(SppForm::one(n));
+            for _ in 0..20 {
+                let products = (0..1 + next(6))
+                    .map(|_| {
+                        let factors = (0..next(6))
+                            .map(|_| {
+                                let a = next(n);
+                                if n == 1 || next(2) == 0 {
+                                    XorFactor::literal(a, next(2) == 0)
+                                } else {
+                                    XorFactor::xor(a, (a + 1 + next(n - 1)) % n, next(2) == 0)
+                                }
+                            })
+                            .collect();
+                        spp::Pseudoproduct::new(n, factors)
+                    })
+                    .collect();
+                forms.push(SppForm::new(n, products));
+            }
+        }
+        forms
+    }
+
+    /// A network sized by [`Network::spp_node_bound`] never grows while a
+    /// form (or `g op h`) is built into it, and holds the nodes an unsized
+    /// network gets.
+    #[test]
+    fn spp_node_bound_sizes_networks_that_never_grow() {
+        let forms = random_forms();
+        let ops = [
+            CombineOp::And,
+            CombineOp::AndNotRight,
+            CombineOp::AndNotLeft,
+            CombineOp::Nor,
+            CombineOp::Or,
+            CombineOp::OrNotLeft,
+            CombineOp::OrNotRight,
+            CombineOp::Nand,
+            CombineOp::Xor,
+            CombineOp::Xnor,
+        ];
+        for (i, g) in forms.iter().enumerate() {
+            let n = g.num_vars();
+            let mut sized = Network::with_capacity(n, Network::spp_node_bound(g));
+            let capacities = (sized.nodes.capacity(), sized.hash.capacity());
+            sized.add_spp(g);
+            assert!(sized.num_nodes() <= Network::spp_node_bound(g), "{g}");
+            assert_eq!((sized.nodes.capacity(), sized.hash.capacity()), capacities, "{g}");
+            let mut plain = Network::new(n);
+            plain.add_spp(g);
+            assert_eq!(sized.nodes, plain.nodes, "{g}");
+
+            let h = forms.iter().skip(i + 1).find(|h| h.num_vars() == n).unwrap_or(g);
+            let op = ops[i % ops.len()];
+            let bound = Network::spp_node_bound(g) + Network::spp_node_bound(h) + 2;
+            let mut sized = Network::with_capacity(n, bound);
+            let capacities = (sized.nodes.capacity(), sized.hash.capacity());
+            let (a, b) = (sized.build_spp(g), sized.build_spp(h));
+            let root = sized.combine(a, b, op);
+            sized.add_output(root);
+            assert!(sized.num_nodes() <= bound, "{g} {op:?} {h}");
+            assert_eq!(
+                (sized.nodes.capacity(), sized.hash.capacity()),
+                capacities,
+                "{g} {op:?} {h}"
+            );
         }
     }
 
