@@ -65,8 +65,10 @@
 //! The `cold` block measures what a cold service request costs: 200 seeded
 //! functions per arity 9–12 from `benchmarks::cold::random_isf` (the
 //! generator behind `service_loadgen`'s fresh requests), each synthesized
-//! recursively on one thread, fastest of three runs per arity. It reports
-//! the milliseconds per function at each arity (informational) and a
+//! recursively on one thread, in seven passes per arity. It reports the
+//! median pass's milliseconds per function at each arity (informational:
+//! single passes spread ±25% on a shared host, and even the median of
+//! seven moves between runs by more than a 1.1x change of one layer) and a
 //! fingerprint of every result's gate count, branch count, mapped and flat
 //! area bits and memo counts, which `regress` compares exactly: a change
 //! to the synthesis path must leave every cold result bit-identical.
@@ -288,11 +290,14 @@ const COLD_ARITIES: [usize; 4] = [9, 10, 11, 12];
 /// Functions per arity in the `cold` block.
 const COLD_FUNCTIONS: usize = 200;
 
+/// Timed passes per arity in the `cold` block; the median one is reported.
+const COLD_PASSES: usize = 7;
+
 /// What the `cold` block measured.
 struct ColdBlock {
     /// Functions synthesized, over all arities.
     functions: usize,
-    /// Fastest-run milliseconds per function, per arity.
+    /// The median pass's milliseconds per function, per arity.
     ms_per_function: Vec<(usize, f64)>,
     /// FNV-1a over every result's gates, branches, area bits and memo
     /// counts, in generation order.
@@ -305,8 +310,8 @@ fn fnv(hash: u64, word: u64) -> u64 {
 }
 
 /// Recursively synthesizes [`COLD_FUNCTIONS`] cold-shaped functions per
-/// arity on this thread, fastest of [`REPEATS`] runs per arity, and
-/// fingerprints the results; fails unless every network verified.
+/// arity on this thread, [`COLD_PASSES`] times per arity, times the median
+/// pass, and fingerprints the results; fails unless every network verified.
 fn cold_arm(config: &SynthesisConfig) -> Result<ColdBlock, String> {
     let synthesizer = RecursiveSynthesizer::new(config.recursive.clone());
     let mut block =
@@ -314,17 +319,19 @@ fn cold_arm(config: &SynthesisConfig) -> Result<ColdBlock, String> {
     for n in COLD_ARITIES {
         let mut rng = DetRng::seed_from_u64(config.seed ^ n as u64);
         let functions: Vec<Isf> = (0..COLD_FUNCTIONS).map(|_| random_isf(&mut rng, n)).collect();
-        let mut best = f64::INFINITY;
+        let mut passes = Vec::with_capacity(COLD_PASSES);
         let mut results = Vec::new();
-        for _ in 0..REPEATS {
+        for _ in 0..COLD_PASSES {
             let start = Instant::now();
             results = functions
                 .iter()
                 .map(|f| synthesizer.synthesize(f))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| format!("cold synthesis failed: {e}"))?;
-            best = best.min(start.elapsed().as_secs_f64() * 1000.0);
+            passes.push(start.elapsed().as_secs_f64() * 1000.0);
         }
+        passes.sort_by(f64::total_cmp);
+        let median = passes[COLD_PASSES / 2];
         for (i, r) in results.iter().enumerate() {
             if !r.verified {
                 return Err(format!("cold function #{i} at {n} inputs did not verify"));
@@ -340,7 +347,7 @@ fn cold_arm(config: &SynthesisConfig) -> Result<ColdBlock, String> {
             block.fingerprint = words.into_iter().fold(block.fingerprint, fnv);
         }
         block.functions += functions.len();
-        block.ms_per_function.push((n, best / functions.len() as f64));
+        block.ms_per_function.push((n, median / functions.len() as f64));
     }
     Ok(block)
 }

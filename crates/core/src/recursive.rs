@@ -40,6 +40,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::rc::Rc;
 
 use benchmarks::DetRng;
 use boolfunc::{Isf, TruthTable};
@@ -358,12 +359,13 @@ impl RecursiveSynthesizer {
         let mut network = Network::new(f.num_vars());
         let mut memo = Memo::new(&self.synthesizer);
         let flat_form = memo.synthesize(f);
-        let flat_area = self.area_model.spp_area(&flat_form);
+        let flat_area = self.area_model.spp_area_in(&flat_form, &mut memo.scratch);
         let (tree, root) = self.node(f, &flat_form, flat_area, 0, seed, &mut memo, &mut network);
         network.add_output(root);
         let mapped_area = self.area_model.mapper().area(&network);
         let verified = verify_network(f, &network, 0);
         let memo = memo.counts;
+        let flat_form = SppForm::clone(&flat_form);
         Ok(RecursiveSynthesis { network, tree, flat_form, flat_area, mapped_area, verified, memo })
     }
 
@@ -437,7 +439,12 @@ impl RecursiveSynthesizer {
             let g_isf = Isf::completely_specified(g);
             let g_form = memo.synthesize(&g_isf);
             let h_form = memo.synthesize(&h);
-            let area = self.area_model.bidecomposition_area(&g_form, &h_form, combine_op(op));
+            let area = self.area_model.bidecomposition_area_in(
+                &g_form,
+                &h_form,
+                combine_op(op),
+                &mut memo.scratch,
+            );
             if area + self.config.min_gain > flat_area {
                 continue; // No gain over the flat realization.
             }
@@ -453,8 +460,8 @@ impl RecursiveSynthesizer {
         // Recurse on both sides. The divisor must be realized exactly; the
         // quotient keeps its dc-set, so its subtree may realize any
         // completion (Lemmas 1-5 make every completion correct).
-        let g_area = self.area_model.spp_area(&c.g_form);
-        let h_area = self.area_model.spp_area(&c.h_form);
+        let g_area = self.area_model.spp_area_in(&c.g_form, &mut memo.scratch);
+        let h_area = self.area_model.spp_area_in(&c.h_form, &mut memo.scratch);
         let (div_tree, div_node) =
             self.node(&c.g_isf, &c.g_form, g_area, depth + 1, child_seed(seed, 0), memo, net);
         let (quo_tree, quo_node) =
@@ -479,8 +486,8 @@ struct Candidate {
     area: f64,
     g_isf: Isf,
     h: Isf,
-    g_form: SppForm,
-    h_form: SppForm,
+    g_form: Rc<SppForm>,
+    h_form: Rc<SppForm>,
 }
 
 /// The per-call memo of [`RecursiveSynthesizer::synthesize_seeded`]: the
@@ -500,11 +507,18 @@ struct Candidate {
 /// is why the maps use the cheap [`MulHashMap`]: a keyed hasher guards
 /// against colliding keys, and colliding keys here would cost one scan of a
 /// few dozen entries.
+///
+/// Forms are shared as `Rc`s: an insert, a hit and a kept candidate each
+/// bump a count instead of copying the form's pseudoproducts. The memo also
+/// owns the call's scratch network, which every area score of the call
+/// (the flat form, each candidate `g op h`, a winner's two sides) is mapped
+/// in, cleared between scores ([`AreaModel::spp_area_in`]).
 struct Memo<'a> {
     synthesizer: &'a SppSynthesizer,
-    forms: MulHashMap<Isf, SppForm>,
+    forms: MulHashMap<Isf, Rc<SppForm>>,
     over: MulHashMap<Isf, TruthTable>,
     counts: MemoCounts,
+    scratch: Network,
 }
 
 impl<'a> Memo<'a> {
@@ -514,20 +528,22 @@ impl<'a> Memo<'a> {
             forms: MulHashMap::default(),
             over: MulHashMap::default(),
             counts: MemoCounts::default(),
+            // Each area score sets the arity it maps at.
+            scratch: Network::new(0),
         }
     }
 
     /// `synthesizer.synthesize(f)`, answered from the memo when `f` was
     /// synthesized before in this call.
-    fn synthesize(&mut self, f: &Isf) -> SppForm {
+    fn synthesize(&mut self, f: &Isf) -> Rc<SppForm> {
         self.counts.requested += 1;
         if let Some(form) = self.forms.get(f) {
             self.counts.answered += 1;
-            debug_assert_eq!(*form, self.synthesizer.synthesize(f), "memoized 2-SPP form");
-            return form.clone();
+            debug_assert_eq!(**form, self.synthesizer.synthesize(f), "memoized 2-SPP form");
+            return Rc::clone(form);
         }
-        let form = self.synthesizer.synthesize(f);
-        self.forms.insert(f.clone(), form.clone());
+        let form = Rc::new(self.synthesizer.synthesize(f));
+        self.forms.insert(f.clone(), Rc::clone(&form));
         form
     }
 

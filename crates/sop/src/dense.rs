@@ -19,6 +19,25 @@
 //! literals on variables 0–5, plus the set of 64-bit words its literals on
 //! variables 6 and up select.
 //!
+//! **Cover counts.** IRREDUNDANT and REDUCE keep, for every minterm, how
+//! many cubes of the cover they work on hold it, bit-sliced into
+//! `⌈log₂(k + 1)⌉` planes for `k` cubes: adding or subtracting a cube is a
+//! ripple-carry or ripple-borrow over the planes on each word of its span.
+//! On a cube's own minterms the cube counts itself, so the *other* cubes
+//! hold exactly the minterms whose count is two or more. Both passes count
+//! every cube once, then IRREDUNDANT subtracts a cube as it drops it and
+//! REDUCE swaps each cube for its reduced cube, so a pass costs O(k) span
+//! updates of a few planes each instead of intersecting every cube with
+//! every other one.
+//!
+//! **Half-cube EXPAND.** A cube being expanded already misses the off-set,
+//! so raising one of its literals keeps it off exactly when the cube's
+//! mirror across that variable misses it: only that half is tested, and an
+//! accepted mirror is ORed into the span in place. Every expanded cube is a
+//! prime (each literal it keeps is blocked), and no prime lies inside
+//! another implicant, so EXPAND's result only needs sorting where the
+//! cube-list step removes contained cubes.
+//!
 //! Two exits leave the REDUCE → EXPAND → IRREDUNDANT iteration as soon as
 //! its outcome is fixed; both return the cover the full loop returns.
 //!
@@ -113,6 +132,16 @@ fn same_cubes(expanded: &Cover, cover: &Cover) -> bool {
     expanded.cubes() == cubes.as_slice()
 }
 
+/// The cover of EXPAND's cubes, as [`Cover::remove_contained_cubes`]
+/// leaves them: sorted, without repeats. Every expanded cube is a prime
+/// ([`Tables::expand_cube`]), and a prime lies inside no other implicant,
+/// so no cube is dropped for lying inside another.
+fn sorted_cover(num_vars: usize, mut cubes: Vec<Cube>) -> Cover {
+    cubes.sort_unstable();
+    cubes.dedup();
+    Cover::from_cubes(num_vars, cubes)
+}
+
 /// A cube laid over a truth table: the minterm mask its literals on
 /// variables 0–5 select inside a word, and the words `w` its literals on
 /// variables 6 and up select (`w & care == value`).
@@ -142,9 +171,68 @@ fn meets(table: &[u64], span: Span) -> bool {
     span.words().any(|w| table[w] & span.bits != 0)
 }
 
-/// Is the cube inside the table?
-fn inside(table: &[u64], span: Span) -> bool {
-    span.words().all(|w| span.bits & !table[w] == 0)
+/// How many cubes cover each minterm, bit-sliced: plane `p` of word `w`
+/// holds bit `p` of the counts of that word's 64 minterms. Adding or
+/// subtracting a cube is a ripple-carry (or ripple-borrow) over the planes
+/// on each word of its span, stopping once nothing carries.
+#[derive(Debug, Default)]
+struct Counts {
+    /// `depth` planes per word, word by word.
+    planes: Vec<u64>,
+    depth: usize,
+}
+
+impl Counts {
+    /// Zero counts over `words` words, deep enough for `cubes` cubes on one
+    /// minterm: `⌈log₂(cubes + 1)⌉` planes.
+    fn reset(&mut self, words: usize, cubes: usize) {
+        self.depth = (usize::BITS - cubes.leading_zeros()) as usize;
+        self.planes.clear();
+        self.planes.resize(words * self.depth, 0);
+    }
+
+    /// The planes of word `w`, lowest bit first.
+    fn at(&self, w: usize) -> &[u64] {
+        &self.planes[w * self.depth..][..self.depth]
+    }
+
+    fn at_mut(&mut self, w: usize) -> &mut [u64] {
+        &mut self.planes[w * self.depth..][..self.depth]
+    }
+
+    /// Counts one more cube over `span`.
+    fn add(&mut self, span: Span) {
+        for w in span.words() {
+            let mut carry = span.bits;
+            for plane in self.at_mut(w) {
+                (*plane, carry) = (*plane ^ carry, *plane & carry);
+                if carry == 0 {
+                    break;
+                }
+            }
+            debug_assert_eq!(carry, 0, "more cubes than the planes count");
+        }
+    }
+
+    /// Counts one cube fewer over `span`, which must have been added.
+    fn sub(&mut self, span: Span) {
+        for w in span.words() {
+            let mut borrow = span.bits;
+            for plane in self.at_mut(w) {
+                (*plane, borrow) = (*plane ^ borrow, !*plane & borrow);
+                if borrow == 0 {
+                    break;
+                }
+            }
+            debug_assert_eq!(borrow, 0, "a count went below zero");
+        }
+    }
+
+    /// The minterms of word `w` that two or more cubes cover: some plane
+    /// above the lowest is set.
+    fn at_least_two(&self, w: usize) -> u64 {
+        self.at(w).iter().skip(1).fold(0, |acc, &plane| acc | plane)
+    }
 }
 
 /// The tables one minimization runs against.
@@ -156,9 +244,9 @@ struct Tables<'a> {
     valid: u64,
     /// The word-index bits (the table has `word_bits + 1` words).
     word_bits: usize,
-    /// "The other cubes plus `dc`", filled only on the words of the cube
-    /// being examined.
-    rest: Vec<u64>,
+    /// How many cubes of the cover IRREDUNDANT or REDUCE is working on
+    /// cover each minterm.
+    counts: Counts,
 }
 
 impl<'a> Tables<'a> {
@@ -172,7 +260,7 @@ impl<'a> Tables<'a> {
             off,
             valid,
             word_bits: on.len() - 1,
-            rest: vec![0; on.len()],
+            counts: Counts::default(),
         }
     }
 
@@ -188,22 +276,21 @@ impl<'a> Tables<'a> {
         Span { bits, value: (polarity >> 6) as usize, free: !care & self.word_bits }
     }
 
-    /// Loads `dc` plus every cube of `others` into `rest` on the words of
-    /// `cube`, and returns the span of `cube`.
-    fn load_rest<'c>(&mut self, cube: &Cube, others: impl Iterator<Item = &'c Cube>) -> Span {
-        let span = self.span(cube);
-        for w in span.words() {
-            self.rest[w] = self.dc[w];
+    /// Counts every cube of `cubes` and returns their spans.
+    fn count(&mut self, cubes: &[Cube]) -> Vec<Span> {
+        let spans: Vec<Span> = cubes.iter().map(|c| self.span(c)).collect();
+        self.counts.reset(self.word_bits + 1, cubes.len());
+        for &span in &spans {
+            self.counts.add(span);
         }
-        for other in others {
-            if let Some(meet) = cube.intersect(other) {
-                let meet = self.span(&meet);
-                for w in meet.words() {
-                    self.rest[w] |= meet.bits;
-                }
-            }
-        }
-        span
+        spans
+    }
+
+    /// The minterms of word `w` that `dc` or a counted cube besides the
+    /// one being examined covers: that cube counts itself on its own
+    /// minterms, so the others cover exactly where the count is two or more.
+    fn rest(&self, w: usize) -> u64 {
+        self.dc[w] | self.counts.at_least_two(w)
     }
 
     /// EXPAND: the skeleton of [`crate::expand`], largest cubes first, each
@@ -213,12 +300,12 @@ impl<'a> Tables<'a> {
         order.sort_by_key(|&i| cover.cubes()[i].literal_count());
 
         let mut covered = vec![false; cover.num_cubes()];
-        let mut result = Cover::empty(cover.num_vars());
+        let mut result = Vec::with_capacity(cover.num_cubes());
         for &idx in &order {
             if covered[idx] {
                 continue;
             }
-            let expanded = self.expand_cube(&cover.cubes()[idx]);
+            let (expanded, _) = self.expand_cube(&cover.cubes()[idx]);
             for (j, cube) in cover.cubes().iter().enumerate() {
                 if !covered[j] && expanded.contains(cube) {
                     covered[j] = true;
@@ -226,8 +313,7 @@ impl<'a> Tables<'a> {
             }
             result.push(expanded);
         }
-        result.remove_contained_cubes();
-        result
+        sorted_cover(self.num_vars, result)
     }
 
     /// EXPAND of the on-set's minterm cover, read off the table: the
@@ -242,54 +328,76 @@ impl<'a> Tables<'a> {
     /// is the next minterm to expand.
     fn expand_minterms(&self, on: &TruthTable) -> Cover {
         let mut uncovered = on.as_words().to_vec();
-        let mut result = Cover::empty(self.num_vars);
+        let mut result = Vec::new();
         for w in 0..uncovered.len() {
             while uncovered[w] != 0 {
                 let m = (w as u64) << 6 | u64::from(uncovered[w].trailing_zeros());
                 let minterm = Cube::minterm(self.num_vars, m).expect("arity bounded by the table");
-                let expanded = self.expand_cube(&minterm);
-                let span = self.span(&expanded);
+                let (expanded, span) = self.expand_cube(&minterm);
                 for v in span.words() {
                     uncovered[v] &= !span.bits;
                 }
                 result.push(expanded);
             }
         }
-        result.remove_contained_cubes();
-        result
+        sorted_cover(self.num_vars, result)
     }
 
     /// Raises literals in increasing variable order while the cube stays off
     /// the off-set. The cube-list [`crate::expand::expand_cube`] raises, each
     /// round, the lowest-index literal whose removal keeps the cube off the
     /// off-set; a literal blocked once stays blocked as the cube grows, so
-    /// one ascending pass raises the same literals.
-    fn expand_cube(&self, cube: &Cube) -> Cube {
+    /// one ascending pass raises the same literals, and every literal it
+    /// keeps is blocked: the result is a prime.
+    ///
+    /// `cube` must miss the off-set (a minterm or a reduced cube of the
+    /// on-set does), so raising a literal keeps the cube off it exactly
+    /// when the cube's mirror across that variable misses it: only that
+    /// half is tested, and an accepted mirror widens the span in place.
+    /// Returns the expanded cube with its span.
+    fn expand_cube(&self, cube: &Cube) -> (Cube, Span) {
         let mut current = *cube;
+        let mut span = self.span(cube);
         for var in 0..self.num_vars {
-            if current.value(var) == CubeValue::DontCare {
+            let value = current.value(var);
+            if value == CubeValue::DontCare {
                 continue;
             }
-            let relaxed = current.with_value(var, CubeValue::DontCare);
-            if !meets(&self.off, self.span(&relaxed)) {
-                current = relaxed;
+            let mirror = if var < 6 {
+                let shift = 1 << var;
+                let bits =
+                    if value == CubeValue::One { span.bits >> shift } else { span.bits << shift };
+                Span { bits, ..span }
+            } else {
+                Span { value: span.value ^ 1 << (var - 6), ..span }
+            };
+            if !meets(&self.off, mirror) {
+                current = current.with_value(var, CubeValue::DontCare);
+                if var < 6 {
+                    span.bits |= mirror.bits;
+                } else {
+                    span.value &= !(1 << (var - 6));
+                    span.free |= 1 << (var - 6);
+                }
             }
         }
-        current
+        (current, span)
     }
 
     /// IRREDUNDANT: the skeleton of [`crate::irredundant`], most specific
     /// cubes first, each dropped when the kept others plus `dc` cover it.
+    /// The counts hold the kept cubes: all of them at first, a dropped cube
+    /// subtracted as it goes.
     fn irredundant(&mut self, cover: &Cover) -> Cover {
         let mut cubes = cover.cubes().to_vec();
         cubes.sort_by_key(|c| Reverse(c.literal_count()));
 
+        let spans = self.count(&cubes);
         let mut keep = vec![true; cubes.len()];
-        for i in 0..cubes.len() {
-            let others = cubes.iter().enumerate().filter(|&(j, _)| j != i && keep[j]);
-            let span = self.load_rest(&cubes[i], others.map(|(_, c)| c));
-            if inside(&self.rest, span) {
+        for (i, &span) in spans.iter().enumerate() {
+            if span.words().all(|w| span.bits & !self.rest(w) == 0) {
                 keep[i] = false;
+                self.counts.sub(span);
             }
         }
         let kept = cubes.iter().zip(&keep).filter(|&(_, &k)| k).map(|(c, _)| *c);
@@ -338,28 +446,33 @@ impl<'a> Tables<'a> {
 
     /// REDUCE: the skeleton of [`crate::reduce`], largest cubes first, each
     /// shrunk to the supercube of the minterms only it covers (or dropped).
+    /// The counts hold the cubes already reduced and those still to come:
+    /// each cube is swapped for its reduced cube as it goes.
     fn reduce(&mut self, cover: &Cover) -> Cover {
         let mut cubes = cover.cubes().to_vec();
         cubes.sort_by_key(|c| c.literal_count());
 
+        let spans = self.count(&cubes);
         let mut result: Vec<Cube> = Vec::with_capacity(cubes.len());
-        for i in 0..cubes.len() {
-            let span = self.load_rest(&cubes[i], result.iter().chain(&cubes[i + 1..]));
-            if let Some(reduced) = self.uncovered_supercube(span) {
+        for &span in &spans {
+            let reduced = self.uncovered_supercube(span);
+            self.counts.sub(span);
+            if let Some(reduced) = reduced {
+                self.counts.add(self.span(&reduced));
                 result.push(reduced);
             }
         }
         Cover::from_cubes(cover.num_vars(), result)
     }
 
-    /// The smallest cube holding every minterm of `span` outside `rest`, or
-    /// `None` when `rest` covers all of them.
+    /// The smallest cube holding every minterm of `span` outside
+    /// [`Tables::rest`], or `None` when the rest covers all of them.
     fn uncovered_supercube(&self, span: Span) -> Option<Cube> {
         // Which in-word minterms occur, and which word-index bits are set in
         // every / some word that holds one.
         let (mut low, mut all_words, mut any_word) = (0u64, usize::MAX, 0usize);
         for w in span.words() {
-            let bits = span.bits & !self.rest[w];
+            let bits = span.bits & !self.rest(w);
             if bits != 0 {
                 low |= bits;
                 all_words &= w;
@@ -616,6 +729,99 @@ mod tests {
     #[ignore = "nightly: run with --release --ignored"]
     fn essential_exit_fires_on_cold_isfs_deep() {
         check_essential_exit_on_cold_isfs(120);
+    }
+
+    /// The count of minterm `m` in `counts`, read off its planes.
+    fn count_of(counts: &Counts, m: usize) -> usize {
+        counts
+            .at(m >> 6)
+            .iter()
+            .enumerate()
+            .map(|(p, &plane)| ((plane >> (m & 63) & 1) as usize) << p)
+            .sum()
+    }
+
+    /// Adding random cubes' spans keeps every minterm's count equal to the
+    /// number of cubes holding it, with `at_least_two` marking counts of two
+    /// or more; subtracting them all, in another order, returns every plane
+    /// to zero. Up to 40 cubes of at most two literals pile 8 or more on
+    /// some minterm in most rounds, so carries and borrows ripple through
+    /// four or more planes, inside one word and over multi-word spans.
+    #[test]
+    fn counts_track_how_many_cubes_cover_each_minterm() {
+        let mut next = lcg(0x00C0_0475);
+        let mut deep = 0;
+        for n in 1..=12 {
+            let f = Isf::completely_specified(TruthTable::zero(n));
+            let mut tables = Tables::new(&f);
+            for round in 0..6 {
+                let cubes: Vec<Cube> = (0..1 + next() % 40)
+                    .map(|_| {
+                        let mask = (1u64 << (next() % n as u64)) | (1 << (next() % n as u64));
+                        Cube::from_masks(n, mask & (next() | next()), next()).unwrap()
+                    })
+                    .collect();
+                let what = format!("n={n} #{round}, {} cubes", cubes.len());
+                let spans = tables.count(&cubes);
+                let counts = &tables.counts;
+                let mut most = 0;
+                for m in 0..1usize << n {
+                    let expected = cubes.iter().filter(|c| c.contains_minterm(m as u64)).count();
+                    most = most.max(expected);
+                    assert_eq!(count_of(counts, m), expected, "{what}: minterm {m}");
+                    let two = counts.at_least_two(m >> 6) >> (m & 63) & 1 == 1;
+                    assert_eq!(two, expected >= 2, "{what}: minterm {m}");
+                }
+                deep += usize::from(most >= 8);
+                for &span in spans.iter().rev() {
+                    tables.counts.sub(span);
+                }
+                assert!(tables.counts.planes.iter().all(|&p| p == 0), "{what}: left over");
+            }
+        }
+        assert!(deep >= 36, "only {deep} of 72 rounds put 8 or more cubes on a minterm");
+    }
+
+    /// ISFs whose covers pile many cubes on one minterm: the on-set is the
+    /// minterms of weight `t` or more (each `t` positive literals are a
+    /// prime through the all-ones minterm) with a few holes punched out,
+    /// and some dc sprinkled over the rest.
+    fn crowded_isf(next: &mut impl FnMut() -> u64, n: usize) -> Isf {
+        let t = 1 + next() as u32 % 3;
+        let on = TruthTable::from_fn(n, |m| m.count_ones() >= t && next() % 100 >= 6);
+        let dc = TruthTable::from_fn(n, |_| next() % 100 < 12).difference(&on);
+        Isf::new(on, dc).unwrap()
+    }
+
+    /// Covers whose counts need four or more planes (eight or more cubes on
+    /// one minterm of the first EXPAND cover) match the cube-list oracle,
+    /// under both option shapes, on 1–12 inputs: the in-word `valid` mask
+    /// below 6 inputs, multi-word spans above. The REDUCE loop, which swaps
+    /// cubes in and out of the counts, is reached in some of the runs.
+    #[test]
+    fn crowded_covers_match_the_cube_list_oracle() {
+        let mut next = lcg(0x000C_20D5);
+        let (mut deep, mut looped) = (0, 0);
+        for n in 1..=12 {
+            let trials = if n <= 9 { 8 } else { 3 };
+            for trial in 0..trials {
+                let f = crowded_isf(&mut next, n);
+                assert_matches_oracle(&f, &format!("n={n} crowded #{trial}"));
+                let mut tables = Tables::new(&f);
+                if f.on().is_zero() || tables.off.iter().all(|&w| w == 0) {
+                    continue;
+                }
+                let first = tables.expand_minterms(f.on());
+                let most = (0..1u64 << n)
+                    .map(|m| first.iter().filter(|c| c.contains_minterm(m)).count())
+                    .max()
+                    .unwrap_or(0);
+                deep += usize::from(most >= 8);
+                let first = tables.irredundant(&first);
+                looped += usize::from(!tables.all_essential(f.on(), &first));
+            }
+        }
+        assert!(deep >= 24 && looped >= 24, "{deep} deep covers, {looped} reaching REDUCE");
     }
 
     #[test]

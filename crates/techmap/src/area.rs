@@ -39,6 +39,16 @@ pub enum CombineOp {
 /// the three area queries the experiments need: area of an SOP cover, of a
 /// 2-SPP form, and of a bi-decomposed form `g op h`.
 ///
+/// [`AreaModel::spp_area`] and [`AreaModel::bidecomposition_area`] build a
+/// fresh [`Network`] per call. A caller that scores many forms in a row —
+/// the recursive synthesizer maps every portfolio candidate — passes one
+/// scratch network to [`AreaModel::spp_area_in`] and
+/// [`AreaModel::bidecomposition_area_in`] instead: each call clears it,
+/// keeping its node list's and structural-hash map's capacity, sets its
+/// arity to the forms', and builds and maps there. The areas are the fresh
+/// network's, bit for bit, since the cleared network holds nothing from the
+/// last call.
+///
 /// ```rust
 /// use boolfunc::Cover;
 /// use techmap::AreaModel;
@@ -80,9 +90,15 @@ impl AreaModel {
 
     /// Mapped area of a 2-SPP form.
     pub fn spp_area(&self, form: &SppForm) -> f64 {
-        let mut net = Network::with_capacity(form.num_vars(), Network::spp_node_bound(form));
-        net.add_spp(form);
-        self.mapper.area(&net)
+        self.spp_area_in(form, &mut Network::new(form.num_vars()))
+    }
+
+    /// [`AreaModel::spp_area`], built and mapped in `scratch`, which is
+    /// cleared first (whatever its arity) and left holding the form.
+    pub fn spp_area_in(&self, form: &SppForm, scratch: &mut Network) -> f64 {
+        scratch.reset(form.num_vars(), Network::spp_node_bound(form));
+        scratch.add_spp(form);
+        self.mapper.area(scratch)
     }
 
     /// Mapped area of the bi-decomposed form `g op h` where both components
@@ -92,15 +108,31 @@ impl AreaModel {
     ///
     /// Panics if the two forms have a different number of variables.
     pub fn bidecomposition_area(&self, g: &SppForm, h: &SppForm, op: CombineOp) -> f64 {
+        self.bidecomposition_area_in(g, h, op, &mut Network::new(g.num_vars()))
+    }
+
+    /// [`AreaModel::bidecomposition_area`], built and mapped in `scratch`,
+    /// which is cleared first (whatever its arity) and left holding `g op h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two forms have a different number of variables.
+    pub fn bidecomposition_area_in(
+        &self,
+        g: &SppForm,
+        h: &SppForm,
+        op: CombineOp,
+        scratch: &mut Network,
+    ) -> f64 {
         assert_eq!(g.num_vars(), h.num_vars(), "divisor/quotient arity mismatch");
         // The top gate adds at most a gate and an inverter.
         let nodes = Network::spp_node_bound(g) + Network::spp_node_bound(h) + 2;
-        let mut net = Network::with_capacity(g.num_vars(), nodes);
-        let g_root = net.build_spp(g);
-        let h_root = net.build_spp(h);
-        let combined = net.combine(g_root, h_root, op);
-        net.add_output(combined);
-        self.mapper.area(&net)
+        scratch.reset(g.num_vars(), nodes);
+        let g_root = scratch.build_spp(g);
+        let h_root = scratch.build_spp(h);
+        let combined = scratch.combine(g_root, h_root, op);
+        scratch.add_output(combined);
+        self.mapper.area(scratch)
     }
 }
 

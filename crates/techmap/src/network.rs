@@ -73,17 +73,18 @@ impl Network {
         Network { num_inputs, nodes: Vec::new(), hash: MulHashMap::default(), outputs: Vec::new() }
     }
 
-    /// Creates an empty network whose node list and structural-hash map
-    /// hold `nodes` nodes before either grows. Sized from an upper bound on
-    /// what will be built (see [`Network::spp_node_bound`]), interning never
-    /// rehashes; the network is the one [`Network::new`] would build.
-    pub(crate) fn with_capacity(num_inputs: usize, nodes: usize) -> Self {
-        Network {
-            num_inputs,
-            nodes: Vec::with_capacity(nodes),
-            hash: MulHashMap::with_capacity_and_hasher(nodes, Default::default()),
-            outputs: Vec::new(),
-        }
+    /// Empties the network, gives it `num_inputs` inputs and makes room for
+    /// `nodes` nodes, keeping the node list's and structural-hash map's
+    /// allocations. Sized from an upper bound on what will be built (see
+    /// [`Network::spp_node_bound`]), interning never rehashes; the network
+    /// is the one [`Network::new`] would build.
+    pub(crate) fn reset(&mut self, num_inputs: usize, nodes: usize) {
+        self.num_inputs = num_inputs;
+        self.nodes.clear();
+        self.nodes.reserve(nodes);
+        self.hash.clear();
+        self.hash.reserve(nodes);
+        self.outputs.clear();
     }
 
     /// An upper bound on the nodes [`Network::build_spp`] adds for `form`:
@@ -510,6 +511,7 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AreaModel;
     use boolfunc::Isf;
     use spp::SppSynthesizer;
 
@@ -596,27 +598,66 @@ mod tests {
         forms
     }
 
+    const OPS: [CombineOp; 10] = [
+        CombineOp::And,
+        CombineOp::AndNotRight,
+        CombineOp::AndNotLeft,
+        CombineOp::Nor,
+        CombineOp::Or,
+        CombineOp::OrNotLeft,
+        CombineOp::OrNotRight,
+        CombineOp::Nand,
+        CombineOp::Xor,
+        CombineOp::Xnor,
+    ];
+
+    /// Areas mapped in one reused scratch network equal a fresh network's,
+    /// bit for bit, and the scratch ends each call holding exactly the
+    /// network a fresh build gives. The arity changes between calls
+    /// (12 → 5 → 9) and the pairs include the constant-0 and constant-1
+    /// forms, so a node, structural-hash entry, output or arity left over
+    /// from the last call shows.
+    #[test]
+    fn scratch_areas_match_fresh_networks() {
+        let model = AreaModel::mcnc();
+        let forms = random_forms();
+        let mut scratch = Network::new(1);
+        for round in 0..22 {
+            for n in [12, 5, 9] {
+                // Each arity's forms start with its constant 0 and 1.
+                let pool: Vec<&SppForm> = forms.iter().filter(|f| f.num_vars() == n).collect();
+                let (g, h) = (pool[round % pool.len()], pool[(7 * round + 1) % pool.len()]);
+                let op = OPS[round % OPS.len()];
+
+                let area = model.spp_area_in(g, &mut scratch);
+                assert_eq!(area.to_bits(), model.spp_area(g).to_bits(), "n={n} {g}");
+                let mut fresh = Network::new(n);
+                fresh.add_spp(g);
+                assert_eq!((&scratch.nodes, &scratch.outputs), (&fresh.nodes, &fresh.outputs));
+
+                let area = model.bidecomposition_area_in(g, h, op, &mut scratch);
+                let expected = model.bidecomposition_area(g, h, op);
+                assert_eq!(area.to_bits(), expected.to_bits(), "n={n} {g} {op:?} {h}");
+                let mut fresh = Network::new(n);
+                let (a, b) = (fresh.build_spp(g), fresh.build_spp(h));
+                let root = fresh.combine(a, b, op);
+                fresh.add_output(root);
+                assert_eq!((&scratch.nodes, &scratch.outputs), (&fresh.nodes, &fresh.outputs));
+                assert_eq!((scratch.num_inputs, scratch.hash.len()), (n, fresh.hash.len()));
+            }
+        }
+    }
+
     /// A network sized by [`Network::spp_node_bound`] never grows while a
     /// form (or `g op h`) is built into it, and holds the nodes an unsized
     /// network gets.
     #[test]
     fn spp_node_bound_sizes_networks_that_never_grow() {
         let forms = random_forms();
-        let ops = [
-            CombineOp::And,
-            CombineOp::AndNotRight,
-            CombineOp::AndNotLeft,
-            CombineOp::Nor,
-            CombineOp::Or,
-            CombineOp::OrNotLeft,
-            CombineOp::OrNotRight,
-            CombineOp::Nand,
-            CombineOp::Xor,
-            CombineOp::Xnor,
-        ];
         for (i, g) in forms.iter().enumerate() {
             let n = g.num_vars();
-            let mut sized = Network::with_capacity(n, Network::spp_node_bound(g));
+            let mut sized = Network::new(n);
+            sized.reset(n, Network::spp_node_bound(g));
             let capacities = (sized.nodes.capacity(), sized.hash.capacity());
             sized.add_spp(g);
             assert!(sized.num_nodes() <= Network::spp_node_bound(g), "{g}");
@@ -626,9 +667,10 @@ mod tests {
             assert_eq!(sized.nodes, plain.nodes, "{g}");
 
             let h = forms.iter().skip(i + 1).find(|h| h.num_vars() == n).unwrap_or(g);
-            let op = ops[i % ops.len()];
+            let op = OPS[i % OPS.len()];
             let bound = Network::spp_node_bound(g) + Network::spp_node_bound(h) + 2;
-            let mut sized = Network::with_capacity(n, bound);
+            let mut sized = Network::new(n);
+            sized.reset(n, bound);
             let capacities = (sized.nodes.capacity(), sized.hash.capacity());
             let (a, b) = (sized.build_spp(g), sized.build_spp(h));
             let root = sized.combine(a, b, op);
