@@ -29,9 +29,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use benchmarks::Suite;
 use bidecomp::engine::{sweep, EngineConfig, SweepReport};
-use bidecomp_bench::cli::{bench_out_path, ArgCursor};
+use bidecomp_bench::cli::{suite_by_name, write_artifact, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 
 struct Args {
@@ -70,16 +69,6 @@ fn parse_args() -> Args {
     args
 }
 
-fn suite_by_name(name: &str) -> Option<Suite> {
-    match name {
-        "smoke" => Some(Suite::smoke()),
-        "table3" => Some(Suite::table3()),
-        "table4" => Some(Suite::table4()),
-        "all" => Some(Suite::all()),
-        _ => None,
-    }
-}
-
 /// Job-for-job semantic equality of the two arms' reports: attaching a
 /// registry must not change a single result bit.
 fn reports_agree(off: &SweepReport, on: &SweepReport) -> bool {
@@ -89,9 +78,12 @@ fn reports_agree(off: &SweepReport, on: &SweepReport) -> bool {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let Some(suite) = suite_by_name(&args.suite) else {
-        eprintln!("unknown suite '{}'; expected smoke, table3, table4 or all", args.suite);
-        return ExitCode::FAILURE;
+    let suite = match suite_by_name(&args.suite) {
+        Ok(suite) => suite,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
     };
 
     let config_off = EngineConfig { obs: None, ..args.config.clone() };
@@ -108,6 +100,10 @@ fn main() -> ExitCode {
     // scheduler, page cache) biases both arms the same way.
     let mut report_off = sweep(&suite, &config_off);
     let mut report_on = sweep(&suite, &config_on);
+    if report_off.jobs.is_empty() {
+        eprintln!("FAIL: suite '{}' has no dense job to sweep", suite.name());
+        return ExitCode::FAILURE;
+    }
     if !reports_agree(&report_off, &report_on) {
         eprintln!("FAIL: attaching the registry changed the sweep's results");
         return ExitCode::FAILURE;
@@ -140,20 +136,14 @@ fn main() -> ExitCode {
         ("wall_on_micros".into(), json::num(wall_on)),
         ("overhead_ratio".into(), Value::Num((ratio * 1000.0).round() / 1000.0)),
     ]);
-    let text = json::pretty(&doc);
-    let path = bench_out_path(&args.json_path);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("could not write {}: {e}", path.display());
+    if let Err(message) = write_artifact(
+        &doc,
+        &args.json_path,
+        "BENCH_obs_overhead_baseline.json",
+        args.write_baseline,
+    ) {
+        eprintln!("{message}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    if args.write_baseline {
-        let path = bench_out_path("BENCH_obs_overhead_baseline.json");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
     }
 
     if ratio > args.max_ratio {

@@ -35,7 +35,7 @@ use bidecomp::{
     correctness_lemma, flexibility_corollary, is_valid_divisor, quotient_sets, seeded_divisor,
     verify_decomposition_sets, verify_maximal_flexibility_sets, BinaryOp, FailedLemma, Oracle,
 };
-use bidecomp_bench::cli::{bench_out_path, ArgCursor};
+use bidecomp_bench::cli::{bench_out_path, write_artifact, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 use boolfunc::{Isf, TruthTable};
 
@@ -316,20 +316,11 @@ fn main() -> ExitCode {
         ("tamper_lemma".into(), tamper_lemma.map_or(Value::Null, json::s)),
         ("wall_ms".into(), Value::Num((wall_ms * 1000.0).round() / 1000.0)),
     ]);
-    let text = json::pretty(&doc);
-    let path = bench_out_path(&args.json_path);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("could not write {}: {e}", path.display());
+    if let Err(message) =
+        write_artifact(&doc, &args.json_path, "BENCH_oracle_baseline.json", args.write_baseline)
+    {
+        eprintln!("{message}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    if args.write_baseline {
-        let path = bench_out_path("BENCH_oracle_baseline.json");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
     }
     if disagreements > 0 {
         eprintln!("oracle_fuzz: FAIL — the three judges disagreed {disagreements} time(s)");

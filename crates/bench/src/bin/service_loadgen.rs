@@ -78,7 +78,7 @@ use benchmarks::cold::random_isf;
 use benchmarks::DetRng;
 use bidecomp::engine::seeded_divisor;
 use bidecomp::BinaryOp;
-use bidecomp_bench::cli::{bench_out_path, ArgCursor};
+use bidecomp_bench::cli::{write_artifact, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 use bidecomp_bench::ReferenceArm;
 use boolfunc::Isf;
@@ -809,20 +809,14 @@ fn run_chaos(args: &Args) -> ExitCode {
         ("recovered".into(), Value::Bool(recovered)),
         ("server".into(), robustness),
     ]);
-    let text = json::pretty(&doc);
-    let path = bench_out_path(&args.json_path);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("could not write {}: {e}", path.display());
+    if let Err(message) = write_artifact(
+        &doc,
+        &args.json_path,
+        "BENCH_service_chaos_baseline.json",
+        args.write_baseline,
+    ) {
+        eprintln!("{message}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    if args.write_baseline {
-        let path = bench_out_path("BENCH_service_chaos_baseline.json");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
     }
 
     if tally.lost > 0 || tally.corrupted > 0 || !recovered {
@@ -972,20 +966,11 @@ fn main() -> ExitCode {
         fields.push(("scrape".into(), scrape));
     }
     let doc = Value::Object(fields);
-    let text = json::pretty(&doc);
-    let path = bench_out_path(&args.json_path);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("could not write {}: {e}", path.display());
+    if let Err(message) =
+        write_artifact(&doc, &args.json_path, "BENCH_service_baseline.json", args.write_baseline)
+    {
+        eprintln!("{message}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    if args.write_baseline {
-        let path = bench_out_path("BENCH_service_baseline.json");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }

@@ -83,7 +83,7 @@ use benchmarks::cold::random_isf;
 use benchmarks::{DetRng, Suite};
 use bidecomp::engine::{sweep_synthesis, SynthesisConfig, SynthesisReport};
 use bidecomp::{verify_network, verify_network_per_minterm, MemoCounts, RecursiveSynthesizer};
-use bidecomp_bench::cli::{bench_out_path, ArgCursor};
+use bidecomp_bench::cli::{suite_by_name, write_artifact, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 use bidecomp_bench::ReferenceArm;
 use boolfunc::Isf;
@@ -125,16 +125,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn suite_by_name(name: &str) -> Option<Suite> {
-    match name {
-        "smoke" => Some(Suite::smoke()),
-        "table3" => Some(Suite::table3()),
-        "table4" => Some(Suite::table4()),
-        "all" => Some(Suite::all()),
-        _ => None,
-    }
 }
 
 /// Rounds to 3 decimals so the serialized artifact is stable and readable;
@@ -428,9 +418,12 @@ fn report_to_json(report: &SynthesisReport, arms: &Arms) -> Value {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let Some(suite) = suite_by_name(&args.suite) else {
-        eprintln!("unknown suite '{}'; expected smoke, table3, table4 or all", args.suite);
-        return ExitCode::FAILURE;
+    let suite = match suite_by_name(&args.suite) {
+        Ok(suite) => suite,
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
     };
 
     println!(
@@ -441,6 +434,10 @@ fn main() -> ExitCode {
         args.config.recursive.portfolio.len(),
     );
     let report = sweep_synthesis(&suite, &args.config);
+    if report.jobs.is_empty() {
+        eprintln!("FAIL: suite '{}' has no dense job to synthesize", suite.name());
+        return ExitCode::FAILURE;
+    }
 
     let mut current = "";
     for job in &report.jobs {
@@ -553,20 +550,11 @@ fn main() -> ExitCode {
     );
 
     let doc = report_to_json(&report, &arms);
-    let text = json::pretty(&doc);
-    let path = bench_out_path(&args.json_path);
-    if let Err(e) = std::fs::write(&path, &text) {
-        eprintln!("could not write {}: {e}", path.display());
+    if let Err(message) =
+        write_artifact(&doc, &args.json_path, "BENCH_synth_baseline.json", args.write_baseline)
+    {
+        eprintln!("{message}");
         return ExitCode::FAILURE;
-    }
-    println!("wrote {}", path.display());
-    if args.write_baseline {
-        let path = bench_out_path("BENCH_synth_baseline.json");
-        if let Err(e) = std::fs::write(&path, &text) {
-            eprintln!("could not write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }

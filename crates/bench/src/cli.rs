@@ -1,5 +1,5 @@
-//! Shared scaffolding for the gate binaries' strict command lines and for
-//! locating benchmark artifacts.
+//! Shared scaffolding for the gate binaries' strict command lines, their
+//! suite names, and locating and writing benchmark artifacts.
 //!
 //! The table-reproduction binaries deliberately ignore unknown arguments so
 //! they stay scriptable, but `sweep` and `regress` feed the CI perf gate and
@@ -12,6 +12,10 @@
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
+
+use benchmarks::Suite;
+
+use crate::json::{self, Value};
 
 /// A strict cursor over `std::env::args()` for flag-by-flag parsing.
 ///
@@ -89,9 +93,61 @@ pub fn bench_out_path(file: &str) -> PathBuf {
     PathBuf::from(dir).join(file)
 }
 
+/// The benchmark suite a `--suite` flag names: `smoke`, `table3`,
+/// `table4`, `all` or `large`. `large` has only symbolic instances, so the
+/// dense sweeps enumerate no job on it and refuse it after the run.
+pub fn suite_by_name(name: &str) -> Result<Suite, String> {
+    match name {
+        "smoke" => Ok(Suite::smoke()),
+        "table3" => Ok(Suite::table3()),
+        "table4" => Ok(Suite::table4()),
+        "all" => Ok(Suite::all()),
+        "large" => Ok(Suite::large()),
+        _ => Err(format!("unknown suite '{name}'; expected smoke, table3, table4, all or large")),
+    }
+}
+
+/// Writes an artifact to `$BENCH_OUT_DIR/<path>`, and also over the
+/// committed `baseline` when `write_baseline` is set, printing each file
+/// written. Without `write_baseline`, a `path` that resolves to `baseline`
+/// is refused: writing there is almost certainly a typo that would turn the
+/// gate into "compare against myself".
+pub fn write_artifact(
+    doc: &Value,
+    path: &str,
+    baseline: &str,
+    write_baseline: bool,
+) -> Result<(), String> {
+    let path = bench_out_path(path);
+    let baseline = bench_out_path(baseline);
+    if path == baseline && !write_baseline {
+        return Err(format!(
+            "refusing to overwrite the committed baseline {}; \
+             pass --write-baseline to refresh it deliberately",
+            baseline.display()
+        ));
+    }
+    let text = json::pretty(doc);
+    let mut targets = vec![path];
+    if write_baseline && !targets.contains(&baseline) {
+        targets.push(baseline);
+    }
+    for target in targets {
+        std::fs::write(&target, &text)
+            .map_err(|e| format!("could not write {}: {e}", target.display()))?;
+        println!("wrote {}", target.display());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::{Mutex, PoisonError};
+
     use super::*;
+
+    /// Serializes the tests that read or set `BENCH_OUT_DIR`.
+    static OUT_DIR: Mutex<()> = Mutex::new(());
 
     fn cursor(args: &[&str]) -> ArgCursor {
         ArgCursor::new("test", args.iter().map(|s| s.to_string()).collect())
@@ -121,9 +177,50 @@ mod tests {
 
     #[test]
     fn out_path_defaults_to_cwd() {
+        let _env = OUT_DIR.lock().unwrap_or_else(PoisonError::into_inner);
         // BENCH_OUT_DIR is not set in the test environment.
         if std::env::var("BENCH_OUT_DIR").is_err() {
             assert_eq!(bench_out_path("BENCH_x.json"), PathBuf::from("./BENCH_x.json"));
         }
+    }
+
+    #[test]
+    fn the_baseline_is_written_only_with_write_baseline() {
+        let _env = OUT_DIR.lock().unwrap_or_else(PoisonError::into_inner);
+        let dir = std::env::temp_dir().join(format!("bidecomp-bench-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let saved = std::env::var_os("BENCH_OUT_DIR");
+        std::env::set_var("BENCH_OUT_DIR", &dir);
+        let doc = Value::Object(vec![("schema".into(), json::s("test"))]);
+        let exists = |file: &str| dir.join(file).exists();
+
+        let refused = write_artifact(&doc, "BENCH_t_baseline.json", "BENCH_t_baseline.json", false);
+        let refused_wrote = exists("BENCH_t_baseline.json");
+        let plain = write_artifact(&doc, "BENCH_t.json", "BENCH_t_baseline.json", false);
+        let plain_wrote = (exists("BENCH_t.json"), exists("BENCH_t_baseline.json"));
+        let both = write_artifact(&doc, "BENCH_u.json", "BENCH_t_baseline.json", true);
+        let both_wrote = (exists("BENCH_u.json"), exists("BENCH_t_baseline.json"));
+        let deliberate =
+            write_artifact(&doc, "BENCH_t_baseline.json", "BENCH_t_baseline.json", true);
+
+        match saved {
+            Some(value) => std::env::set_var("BENCH_OUT_DIR", value),
+            None => std::env::remove_var("BENCH_OUT_DIR"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        let message = refused.unwrap_err();
+        assert!(message.starts_with("refusing to overwrite the committed baseline"), "{message}");
+        assert!(!refused_wrote, "a refused write left the baseline behind");
+        assert_eq!((plain, plain_wrote), (Ok(()), (true, false)));
+        assert_eq!((both, both_wrote), (Ok(()), (true, true)));
+        assert_eq!(deliberate, Ok(()));
+    }
+
+    #[test]
+    fn suite_names_resolve_to_their_suites() {
+        for name in ["smoke", "table3", "table4", "all", "large"] {
+            assert_eq!(suite_by_name(name).unwrap().name(), name);
+        }
+        assert!(suite_by_name("tabel3").unwrap_err().contains("unknown suite 'tabel3'"));
     }
 }

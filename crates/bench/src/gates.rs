@@ -53,17 +53,12 @@ struct Band {
 }
 
 /// Same-process, one-thread, min-of-reps wall ratios of a production path
-/// over its oracle (`sweep`'s engine, `synth_sweep`'s espresso, verify,
-/// widen, tables and remove-covered arms). The ratio does not depend on
+/// over its oracle (`sweep`'s quotient job body, `synth_sweep`'s espresso,
+/// verify, widen, tables and remove-covered arms). The ratio does not depend on
 /// machine speed or core count, and a quarter of the baseline absorbs noisy
 /// shared CI runners while still catching the hot path regressing toward
 /// the oracle.
 const SPEED_RATIO: Band = Band { name: "speed-ratio", bound: |b| (b * 0.25).max(1.0) };
-
-/// The BDD manager rewrite's ratio: 80% of the baseline keeps the floor
-/// near the documented ~3x, because the symbolic jobs are long enough to
-/// time steadily.
-const BDD_SPEED_RATIO: Band = Band { name: "bdd-speed-ratio", bound: |b| (b * 0.8).max(1.0) };
 
 /// The service's cached-over-cold throughput and its NPN arm. Both arms run
 /// in one process against one server, so the ratio is comparable across
@@ -186,8 +181,7 @@ const BDD_SWEEP: Schema = Schema {
         (Exact, &["operators[]/maximal", "operators[]/on_minterms", "operators[]/dc_minterms"]),
         (Exact, &["operators[]/divisor_errors"]),
         (Ceiling(NODE_HEADROOM), &["peak_bdd_nodes"]),
-        (Floor(BDD_SPEED_RATIO), &["speedup"]),
-        (Informational, &["threads", "engine_wall_ms", "engine_wall_1t_ms", "sequential_wall_ms"]),
+        (Informational, &["threads", "engine_wall_ms"]),
         (Informational, &["operators[]/wall_ms"]),
     ],
     accounting: &[],

@@ -16,9 +16,13 @@
 //! * `error_sweep`    — ablation: area of `g`/`h` versus the error budget;
 //! * `all_ops_sweep`  — extension: all ten operators on the smoke suite;
 //! * `sweep`          — the batch decomposition engine on a whole suite,
-//!   timed against the sequential/allocating reference path and serialized
-//!   as `BENCH_sweep.json` (`--write-baseline` refreshes
-//!   `BENCH_baseline.json`);
+//!   its job body timed against the library's per-minterm quotient and
+//!   verifiers (a [`ReferenceArm`]) and serialized as `BENCH_sweep.json`
+//!   (`--write-baseline` refreshes `BENCH_baseline.json`);
+//! * `bdd_sweep`      — the same engine on the BDD backend over the 24–40
+//!   input `large` suite with dynamic variable ordering, serialized as
+//!   `BENCH_bdd_sweep.json` (`--write-baseline` refreshes
+//!   `BENCH_bdd_baseline.json`);
 //! * `synth_sweep`    — the recursive bi-decomposition synthesis engine on a
 //!   whole suite (multi-level networks, mapped-area gains over flat 2-SPP,
 //!   every network exhaustively verified), serialized as `BENCH_synth.json`
@@ -252,6 +256,34 @@ mod tests {
         for inst in suite.instances() {
             assert!(run_instance(inst, ApproxStrategy::FullExpansion, &options).is_none());
         }
+    }
+
+    #[test]
+    fn agreeing_arms_report_the_item_count_and_both_walls() {
+        let items: Vec<u64> = (0..200).collect();
+        let arm = ReferenceArm::measure(
+            &items,
+            2,
+            |&x| x * x,
+            |&x| {
+                std::thread::sleep(std::time::Duration::from_micros(20));
+                (0..x).map(|_| x).sum::<u64>()
+            },
+        )
+        .expect("both closures square their item");
+        assert_eq!(arm.items, 200);
+        // The oracle sleeps at least 4 ms per run; the fast side does not.
+        assert!(arm.oracle_micros >= 4_000, "{arm:?}");
+        assert!(arm.fast_micros < arm.oracle_micros, "{arm:?}");
+        assert!(arm.speedup() > 1.0, "{arm:?}");
+    }
+
+    #[test]
+    fn the_first_differing_item_is_reported_with_both_results() {
+        let items: Vec<u64> = (0..50).collect();
+        let failure =
+            ReferenceArm::measure(&items, 1, |&x| x + u64::from(x >= 17), |&x| x).unwrap_err();
+        assert_eq!(failure, (17, 18, 17));
     }
 
     #[test]

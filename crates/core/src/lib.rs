@@ -106,6 +106,7 @@ pub use recursive::{
 pub use report::{BenchmarkRow, TableReport};
 pub use sequence::decomposition_sequence;
 pub use verify::{
-    verify_decomposition, verify_decomposition_bdd, verify_decomposition_sets,
-    verify_maximal_flexibility, verify_maximal_flexibility_bdd, verify_maximal_flexibility_sets,
+    verify_decomposition, verify_decomposition_bdd, verify_decomposition_per_minterm,
+    verify_decomposition_sets, verify_maximal_flexibility, verify_maximal_flexibility_bdd,
+    verify_maximal_flexibility_per_minterm, verify_maximal_flexibility_sets,
 };

@@ -133,6 +133,70 @@ pub fn verify_maximal_flexibility_sets(
     true
 }
 
+/// [`verify_decomposition`] minterm by minterm: on every care minterm of
+/// `f`, each value `h` may take must realize `f`. The word-parallel check's
+/// oracle, kept independent of [`BinaryOp::apply_words`]; the `sweep`
+/// bench times the two.
+///
+/// # Panics
+///
+/// Panics if the arities differ.
+pub fn verify_decomposition_per_minterm(f: &Isf, g: &TruthTable, h: &Isf, op: BinaryOp) -> bool {
+    assert_eq!(f.num_vars(), g.num_vars(), "arity mismatch between f and g");
+    assert_eq!(f.num_vars(), h.num_vars(), "arity mismatch between f and h");
+    for m in 0..(1u64 << f.num_vars()) {
+        let Some(fv) = f.value(m) else { continue };
+        let gv = g.get(m);
+        let allowed: &[bool] = match h.value(m) {
+            Some(true) => &[true],
+            Some(false) => &[false],
+            None => &[false, true],
+        };
+        if allowed.iter().any(|&hv| op.apply(gv, hv) != fv) {
+            return false;
+        }
+    }
+    true
+}
+
+/// [`verify_maximal_flexibility`] minterm by minterm: `h` must be forced to
+/// a value exactly where only that value of `h` realizes `f`, and free
+/// everywhere else. The word-parallel check's oracle; the `sweep` bench
+/// times the two.
+///
+/// # Panics
+///
+/// Panics if the arities differ.
+pub fn verify_maximal_flexibility_per_minterm(
+    f: &Isf,
+    g: &TruthTable,
+    h: &Isf,
+    op: BinaryOp,
+) -> bool {
+    assert_eq!(f.num_vars(), g.num_vars(), "arity mismatch between f and g");
+    assert_eq!(f.num_vars(), h.num_vars(), "arity mismatch between f and h");
+    for m in 0..(1u64 << f.num_vars()) {
+        let gv = g.get(m);
+        let forced = match f.value(m) {
+            None => None,
+            Some(fv) => {
+                let ok_with_0 = op.apply(gv, false) == fv;
+                let ok_with_1 = op.apply(gv, true) == fv;
+                match (ok_with_0, ok_with_1) {
+                    (true, true) => None,
+                    (false, true) => Some(true),
+                    (true, false) => Some(false),
+                    (false, false) => return false,
+                }
+            }
+        };
+        if h.value(m) != forced {
+            return false;
+        }
+    }
+    true
+}
+
 /// `g op c` for a constant `c`, as a BDD: always one of
 /// `{0, 1, g, ¬g}`, depending on the operator's two-point restriction.
 fn op_with_const(mgr: &mut BddManager, op: BinaryOp, g: Bdd, h: bool) -> Bdd {
@@ -316,48 +380,6 @@ mod tests {
         assert_eq!(&h_for_g_equals_one.off(), &f.off());
     }
 
-    /// The pre-word-level implementation of [`verify_decomposition`], kept as
-    /// a test oracle.
-    fn verify_decomposition_oracle(f: &Isf, g: &TruthTable, h: &Isf, op: BinaryOp) -> bool {
-        for m in 0..(1u64 << f.num_vars()) {
-            let Some(fv) = f.value(m) else { continue };
-            let gv = g.get(m);
-            let allowed: &[bool] = match h.value(m) {
-                Some(true) => &[true],
-                Some(false) => &[false],
-                None => &[false, true],
-            };
-            if allowed.iter().any(|&hv| op.apply(gv, hv) != fv) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The pre-word-level implementation of [`verify_maximal_flexibility`].
-    fn verify_maximal_flexibility_oracle(f: &Isf, g: &TruthTable, h: &Isf, op: BinaryOp) -> bool {
-        for m in 0..(1u64 << f.num_vars()) {
-            let gv = g.get(m);
-            let forced = match f.value(m) {
-                None => None,
-                Some(fv) => {
-                    let ok_with_0 = op.apply(gv, false) == fv;
-                    let ok_with_1 = op.apply(gv, true) == fv;
-                    match (ok_with_0, ok_with_1) {
-                        (true, true) => None,
-                        (false, true) => Some(true),
-                        (true, false) => Some(false),
-                        (false, false) => return false,
-                    }
-                }
-            };
-            if h.value(m) != forced {
-                return false;
-            }
-        }
-        true
-    }
-
     #[test]
     fn word_level_verifiers_agree_with_the_minterm_oracle() {
         // Deterministic sweep over random (f, g, h) triples — including many
@@ -377,12 +399,12 @@ mod tests {
             for op in BinaryOp::all() {
                 assert_eq!(
                     verify_decomposition(&f, &g, &h, op),
-                    verify_decomposition_oracle(&f, &g, &h, op),
+                    verify_decomposition_per_minterm(&f, &g, &h, op),
                     "case {case}, {op}: verify_decomposition"
                 );
                 assert_eq!(
                     verify_maximal_flexibility(&f, &g, &h, op),
-                    verify_maximal_flexibility_oracle(&f, &g, &h, op),
+                    verify_maximal_flexibility_per_minterm(&f, &g, &h, op),
                     "case {case}, {op}: verify_maximal_flexibility"
                 );
                 // The true quotient must still pass both word-level checks.
