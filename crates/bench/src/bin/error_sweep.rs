@@ -7,7 +7,7 @@ use bidecomp::{ApproxStrategy, BinaryOp, DecompositionPlan};
 use bidecomp_bench::HarnessOptions;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    let options = HarnessOptions::from_args("error_sweep");
     let budgets = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.40];
     println!(
         "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",

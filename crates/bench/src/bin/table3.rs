@@ -10,7 +10,7 @@ use bidecomp::ApproxStrategy;
 use bidecomp_bench::{run_suite, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    let options = HarnessOptions::from_args("table3");
     let suite = Suite::table3();
     println!("Table III (reproduction) — error rate bounded at 8%");
     println!("{}", bidecomp::BenchmarkRow::header());

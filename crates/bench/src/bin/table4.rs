@@ -7,7 +7,7 @@ use bidecomp::ApproxStrategy;
 use bidecomp_bench::{run_suite, HarnessOptions};
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    let options = HarnessOptions::from_args("table4");
     let suite = Suite::table4();
     println!("Table IV (reproduction) — full pseudoproduct expansion");
     println!("{}", bidecomp::BenchmarkRow::header());

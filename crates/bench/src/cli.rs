@@ -1,13 +1,14 @@
 //! Shared scaffolding for the gate binaries' strict command lines, their
 //! suite names, and locating and writing benchmark artifacts.
 //!
-//! The table-reproduction binaries deliberately ignore unknown arguments so
-//! they stay scriptable, but `sweep` and `regress` feed the CI perf gate and
-//! write the committed baseline: a typoed flag silently falling back to a
-//! default there would loosen the gate without anyone noticing. These
-//! helpers implement the strict convention once — any unknown flag, missing
-//! value or unparsable number prints a `<bin>: <problem>` line and exits
-//! with code 2.
+//! Every binary of the crate parses its command line through [`ArgCursor`]:
+//! a missing value or unparsable number prints a `<bin>: <problem>` line and
+//! exits with code 2. The gate binaries (`sweep`, `regress`, …) feed the CI
+//! perf gate and write the committed baselines, so they also refuse unknown
+//! flags: a typoed flag silently falling back to a default there would
+//! loosen the gate without anyone noticing. The table-reproduction binaries
+//! (`HarnessOptions::from_args`) skip unknown flags instead, so one command
+//! line drives all of them.
 
 use std::fmt;
 use std::path::PathBuf;

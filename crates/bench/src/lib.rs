@@ -1,8 +1,10 @@
 //! # bidecomp-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` for the experiment index) plus Criterion micro-benchmarks for
-//! the individual components.
+//! The experiment harness: one binary per table/figure of the paper (the
+//! README's "Tests, benches, table reproduction" section indexes them and
+//! records how the LGSynth91 instances are regenerated), plus the gated
+//! sweep, service and regression binaries. Every fast-path-versus-oracle
+//! timing is a [`ReferenceArm`] in one of those binaries, held by `regress`.
 //!
 //! Binaries (`cargo run -p bidecomp-bench --release --bin <name>`):
 //!
@@ -61,17 +63,15 @@ use std::time::Instant;
 
 use benchmarks::BenchmarkInstance;
 use bidecomp::{ApproxStrategy, BenchmarkRow, BinaryOp, DecompositionPlan, TableReport};
+use cli::ArgCursor;
 
 pub mod cli;
 pub mod gates;
-pub mod microbench;
 
 /// The dependency-free JSON module. It lives in the `service` crate now (the
 /// wire protocol of `bidecompd` is built on it), re-exported here unchanged
 /// so every artifact producer keeps its `bidecomp_bench::json::` paths.
 pub use service::json;
-
-pub use microbench::Criterion;
 
 /// Options shared by the table-reproduction binaries.
 #[derive(Debug, Clone, Copy)]
@@ -91,33 +91,26 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// Parses `--max-inputs N`, `--max-outputs N` and `--fast` from the
-    /// command line (unknown arguments are ignored so the binaries stay
-    /// scriptable).
-    pub fn from_args() -> Self {
+    /// command line of the binary `bin`. A missing or unparsable value exits
+    /// with code 2 naming the flag; unknown arguments are skipped, so one
+    /// command line (CI passes `--fast` to all of them) drives every
+    /// reproduction binary.
+    pub fn from_args(bin: &'static str) -> Self {
+        Self::parse(ArgCursor::from_env(bin))
+    }
+
+    fn parse(mut args: ArgCursor) -> Self {
         let mut options = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        while let Some(flag) = args.next_flag() {
+            match flag.as_str() {
                 "--fast" => {
                     options.max_inputs = 10;
                     options.max_outputs = 3;
                 }
-                "--max-inputs" if i + 1 < args.len() => {
-                    if let Ok(n) = args[i + 1].parse() {
-                        options.max_inputs = n;
-                    }
-                    i += 1;
-                }
-                "--max-outputs" if i + 1 < args.len() => {
-                    if let Ok(n) = args[i + 1].parse() {
-                        options.max_outputs = n;
-                    }
-                    i += 1;
-                }
+                "--max-inputs" => options.max_inputs = args.number(&flag),
+                "--max-outputs" => options.max_outputs = args.number(&flag),
                 _ => {}
             }
-            i += 1;
         }
         options
     }
@@ -284,6 +277,14 @@ mod tests {
         let failure =
             ReferenceArm::measure(&items, 1, |&x| x + u64::from(x >= 17), |&x| x).unwrap_err();
         assert_eq!(failure, (17, 18, 17));
+    }
+
+    #[test]
+    fn harness_flags_apply_in_order_and_unknown_ones_are_skipped() {
+        let args = ["--fast", "--seed", "--max-inputs", "8", "--verbose"];
+        let options =
+            HarnessOptions::parse(ArgCursor::new("test", args.map(String::from).to_vec()));
+        assert_eq!((options.max_inputs, options.max_outputs), (8, 3));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (adders, saturating subtraction, distance, maxima, logarithms,
 //! polynomials). Where the historical table is not precisely documented the
 //! closest standard arithmetic interpretation with the same input/output
-//! count is used; the substitution is recorded in `DESIGN.md` and only
+//! count is used; the substitution is recorded in the README and only
 //! affects absolute areas, not the code paths exercised.
 
 use crate::instance::BenchmarkInstance;

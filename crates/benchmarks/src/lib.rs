@@ -4,8 +4,8 @@
 //! paper.
 //!
 //! The original `.pla` files are not redistributed here. Two families of
-//! replacements are generated instead (see `DESIGN.md` for the substitution
-//! rationale):
+//! replacements are generated instead (the README's "Tests, benches, table
+//! reproduction" section records the substitution):
 //!
 //! * [`arithmetic`] — instances whose behaviour is a public arithmetic
 //!   function (`adr4`, `add6`, `radd`, `z4`, `dist`, `clip`, `log8mod`,

@@ -7,7 +7,7 @@
 //! structure: a moderate number of wide cubes (control PLAs have few literals
 //! per cube and substantial sharing between outputs). The instance names keep
 //! the paper's names so the regenerated tables are easy to compare; the
-//! scaled input/output counts are recorded here and in `DESIGN.md`.
+//! scaled input/output counts are recorded here and in the README.
 
 use boolfunc::{Cover, Cube, CubeValue, Isf};
 

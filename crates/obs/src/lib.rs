@@ -12,8 +12,6 @@
 //!   edges**, so its serialization is a deterministic function of the
 //!   recorded values and quantiles are exact arithmetic over bucket counts
 //!   (cumulative walk + linear interpolation within the bucket);
-//! * [`Timer`] / [`Counter::time_scope`] / [`Histogram::time_scope`] —
-//!   lightweight span timing for phase attribution.
 //!
 //! Hot loops that cannot afford even a relaxed atomic per event record into a
 //! plain per-worker [`LocalHistogram`] (or accumulate plain `u64`s) and merge
@@ -32,7 +30,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 /// Number of histogram buckets. Bucket `0` holds the value `0`; bucket `i`
 /// (for `1 <= i < BUCKETS - 1`) holds values in `[2^(i-1), 2^i)`; the last
@@ -97,26 +94,6 @@ impl Counter {
     #[must_use]
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// A drop guard that adds the elapsed nanoseconds to this counter —
-    /// the cheapest possible phase scope.
-    #[must_use]
-    pub fn time_scope(&self) -> CounterScope<'_> {
-        CounterScope { counter: self, start: Instant::now() }
-    }
-}
-
-/// Drop guard from [`Counter::time_scope`]; adds elapsed nanos on drop.
-#[derive(Debug)]
-pub struct CounterScope<'a> {
-    counter: &'a Counter,
-    start: Instant,
-}
-
-impl Drop for CounterScope<'_> {
-    fn drop(&mut self) {
-        self.counter.add(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -192,12 +169,6 @@ impl Histogram {
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// A drop guard that records the elapsed **microseconds** on drop.
-    #[must_use]
-    pub fn time_scope(&self) -> HistogramScope<'_> {
-        HistogramScope { histogram: self, start: Instant::now() }
-    }
-
     /// A plain-data copy of the current state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -208,19 +179,6 @@ impl Histogram {
             count: self.inner.count.load(Ordering::Relaxed),
             sum: self.inner.sum.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Drop guard from [`Histogram::time_scope`]; records elapsed µs on drop.
-#[derive(Debug)]
-pub struct HistogramScope<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for HistogramScope<'_> {
-    fn drop(&mut self) {
-        self.histogram.record(self.start.elapsed().as_micros() as u64);
     }
 }
 
@@ -474,32 +432,6 @@ impl Registry {
     }
 }
 
-/// A started wall-clock timer for explicit span timing.
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    start: Instant,
-}
-
-impl Timer {
-    /// Start timing now.
-    #[must_use]
-    pub fn start() -> Self {
-        Timer { start: Instant::now() }
-    }
-
-    /// Nanoseconds elapsed since [`Timer::start`].
-    #[must_use]
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Microseconds elapsed since [`Timer::start`].
-    #[must_use]
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,18 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_scope_accumulates_nanos() {
-        let c = Counter::new();
-        {
-            let _scope = c.time_scope();
-            std::hint::black_box(());
-        }
-        // Elapsed time is positive on any real clock; zero only if the clock
-        // did not tick, which still must not underflow.
-        let _ = c.get();
-    }
-
-    #[test]
     fn registry_snapshot_is_sorted_and_stable() {
         let registry = Registry::new();
         registry.counter("z.last").add(2);
@@ -674,12 +594,5 @@ mod tests {
         let registry = Registry::new();
         let _ = registry.counter("dual");
         let _ = registry.gauge("dual");
-    }
-
-    #[test]
-    fn timer_reports_elapsed() {
-        let t = Timer::start();
-        std::hint::black_box(0u64);
-        assert!(t.elapsed_nanos() >= t.elapsed_micros());
     }
 }
