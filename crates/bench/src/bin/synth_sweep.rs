@@ -57,6 +57,13 @@
 //! and `SppSynthesizer::improve_cover` still run, on forms of the suite's
 //! real sizes.
 //!
+//! The `merge` block times `SppSynthesizer::merge_cover`, which skips the
+//! merge rounds when no two cubes of its cover share a variable support,
+//! against the unguarded rounds `merge_rounds` on the `cold` block's 800
+//! espresso covers (one per cold function). The run fails unless both
+//! return the identical form; `regress` holds the ratio above the
+//! `speed-ratio` floor.
+//!
 //! The `memo` block totals, over those same one-thread syntheses, how many
 //! 2-SPP syntheses the recursion requested (`requested`) and how many its
 //! per-call memo answered (`answered`). Both are deterministic; `regress`
@@ -86,7 +93,7 @@ use bidecomp::{verify_network, verify_network_per_minterm, MemoCounts, Recursive
 use bidecomp_bench::cli::{suite_by_name, write_artifact, ArgCursor};
 use bidecomp_bench::json::{self, Value};
 use bidecomp_bench::ReferenceArm;
-use boolfunc::Isf;
+use boolfunc::{Cover, Isf};
 use sop::{espresso_cover, espresso_isf, EspressoOptions};
 use spp::{FullExpansion, SppForm, SppSynthesizer};
 use techmap::Network;
@@ -299,6 +306,37 @@ fn fnv(hash: u64, word: u64) -> u64 {
     word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
+/// The `cold` block's [`COLD_FUNCTIONS`] seeded functions of arity `n`.
+fn cold_functions(seed: u64, n: usize) -> Vec<Isf> {
+    let mut rng = DetRng::seed_from_u64(seed ^ n as u64);
+    (0..COLD_FUNCTIONS).map(|_| random_isf(&mut rng, n)).collect()
+}
+
+/// Times `SppSynthesizer::merge_cover` (the shared-support guard, then the
+/// rounds) against the unguarded `merge_rounds` on the espresso cover of
+/// every `cold` block function, and checks that both return the same form.
+fn merge_arm(seed: u64) -> Result<ReferenceArm, String> {
+    let synthesizer = SppSynthesizer::new();
+    let options = synthesizer.options().espresso;
+    let covers: Vec<Cover> = COLD_ARITIES
+        .into_iter()
+        .flat_map(|n| cold_functions(seed, n))
+        .map(|f| espresso_isf(&f, options))
+        .collect();
+    ReferenceArm::measure(
+        &covers,
+        REPEATS,
+        |cover| synthesizer.merge_cover(cover),
+        |cover| synthesizer.merge_rounds(SppForm::from_cover(cover)),
+    )
+    .map_err(|(i, guarded, rounds)| {
+        format!(
+            "cold cover #{i}: the guarded merge differs from the unguarded rounds\n  \
+             guarded: {guarded}\n  rounds:  {rounds}"
+        )
+    })
+}
+
 /// Recursively synthesizes [`COLD_FUNCTIONS`] cold-shaped functions per
 /// arity on this thread, [`COLD_PASSES`] times per arity, times the median
 /// pass, and fingerprints the results; fails unless every network verified.
@@ -307,8 +345,7 @@ fn cold_arm(config: &SynthesisConfig) -> Result<ColdBlock, String> {
     let mut block =
         ColdBlock { functions: 0, ms_per_function: Vec::new(), fingerprint: 0xcbf2_9ce4_8422_2325 };
     for n in COLD_ARITIES {
-        let mut rng = DetRng::seed_from_u64(config.seed ^ n as u64);
-        let functions: Vec<Isf> = (0..COLD_FUNCTIONS).map(|_| random_isf(&mut rng, n)).collect();
+        let functions = cold_functions(config.seed, n);
         let mut passes = Vec::with_capacity(COLD_PASSES);
         let mut results = Vec::new();
         for _ in 0..COLD_PASSES {
@@ -349,12 +386,13 @@ struct Arms {
     widen: ReferenceArm,
     tables: ReferenceArm,
     remove_covered: ReferenceArm,
+    merge: ReferenceArm,
     memo: MemoCounts,
     cold: ColdBlock,
 }
 
 fn report_to_json(report: &SynthesisReport, arms: &Arms) -> Value {
-    let Arms { espresso, verify, widen, tables, remove_covered, memo, cold } = arms;
+    let Arms { espresso, verify, widen, tables, remove_covered, merge, memo, cold } = arms;
     let instances = report
         .jobs
         .iter()
@@ -389,6 +427,7 @@ fn report_to_json(report: &SynthesisReport, arms: &Arms) -> Value {
         ("widen".into(), widen.to_json("functions", "word_ms", "per_expansion_ms")),
         ("tables".into(), tables.to_json("functions", "word_ms", "per_minterm_ms")),
         ("remove_covered".into(), remove_covered.to_json("functions", "linear_ms", "pairwise_ms")),
+        ("merge".into(), merge.to_json("covers", "guarded_ms", "rounds_ms")),
         (
             "memo".into(),
             Value::Object(vec![
@@ -481,8 +520,9 @@ fn main() -> ExitCode {
         let widen = widen_arm(&functions, &forms)?;
         let tables = tables_arm(&forms)?;
         let remove_covered = remove_covered_arm(&functions)?;
+        let merge = merge_arm(args.config.seed)?;
         let cold = cold_arm(&args.config)?;
-        Ok(Arms { espresso, verify, widen, tables, remove_covered, memo, cold })
+        Ok(Arms { espresso, verify, widen, tables, remove_covered, merge, memo, cold })
     });
     let arms = match arms {
         Ok(arms) => arms,
@@ -491,7 +531,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Arms { espresso, verify, widen, tables, remove_covered, memo, cold } = &arms;
+    let Arms { espresso, verify, widen, tables, remove_covered, merge, memo, cold } = &arms;
     println!(
         "espresso on {} output functions, identical covers: dense {:.1} ms, \
          cube-list {:.1} ms (speedup {:.2}x)",
@@ -531,6 +571,14 @@ fn main() -> ExitCode {
         remove_covered.fast_micros as f64 / 1000.0,
         remove_covered.oracle_micros as f64 / 1000.0,
         remove_covered.speedup(),
+    );
+    println!(
+        "2-SPP merging of {} cold espresso covers, identical forms: guarded {:.2} ms, \
+         unguarded rounds {:.2} ms (speedup {:.2}x)",
+        merge.items,
+        merge.fast_micros as f64 / 1000.0,
+        merge.oracle_micros as f64 / 1000.0,
+        merge.speedup(),
     );
     println!(
         "2-SPP syntheses of those networks: {} requested, {} answered by the per-call memo \

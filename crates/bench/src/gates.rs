@@ -54,10 +54,11 @@ struct Band {
 
 /// Same-process, one-thread, min-of-reps wall ratios of a production path
 /// over its oracle (`sweep`'s quotient job body, `synth_sweep`'s espresso,
-/// verify, widen, tables and remove-covered arms). The ratio does not depend on
-/// machine speed or core count, and a quarter of the baseline absorbs noisy
-/// shared CI runners while still catching the hot path regressing toward
-/// the oracle.
+/// verify, widen, tables, remove-covered and merge arms). The ratio does
+/// not depend on machine speed or core count, and a quarter of the
+/// baseline absorbs noisy shared CI runners while still catching the hot
+/// path regressing toward the oracle (for an arm whose baseline is under
+/// 4x, only down to parity with it).
 const SPEED_RATIO: Band = Band { name: "speed-ratio", bound: |b| (b * 0.25).max(1.0) };
 
 /// The service's cached-over-cold throughput and its NPN arm. Both arms run
@@ -196,6 +197,7 @@ const SYNTH: Schema = Schema {
         (Exact, &["suite", "jobs", "verified", "total_gates", "total_branches"]),
         (Exact, &["average_gain_percent", "espresso/functions", "verify/networks"]),
         (Exact, &["widen/functions", "tables/functions", "remove_covered/functions"]),
+        (Exact, &["merge/covers"]),
         (Exact, &["memo/requested", "memo/answered"]),
         // Every cold-shaped synthesis bit-identical: gates, branches, area
         // bits and memo counts of 800 seeded functions, hashed.
@@ -205,12 +207,13 @@ const SYNTH: Schema = Schema {
         (Exact, &["instances[]/mapped_area", "instances[]/flat_area", "instances[]/gain_percent"]),
         (Exact, &["instances[]/verified"]),
         (Floor(SPEED_RATIO), &["espresso/speedup", "verify/speedup", "widen/speedup"]),
-        (Floor(SPEED_RATIO), &["tables/speedup", "remove_covered/speedup"]),
+        (Floor(SPEED_RATIO), &["tables/speedup", "remove_covered/speedup", "merge/speedup"]),
         (Informational, &["threads", "wall_ms", "espresso/dense_ms", "espresso/cube_list_ms"]),
         (Informational, &["verify/word_ms", "verify/per_minterm_ms"]),
         (Informational, &["widen/word_ms", "widen/per_expansion_ms"]),
         (Informational, &["tables/word_ms", "tables/per_minterm_ms"]),
         (Informational, &["remove_covered/linear_ms", "remove_covered/pairwise_ms"]),
+        (Informational, &["merge/guarded_ms", "merge/rounds_ms"]),
         (Informational, &["cold/ms_per_function/*"]),
     ],
     accounting: &[],

@@ -8,8 +8,18 @@
 //! literals over the same pair of variables with both polarities flipped,
 //! which is exactly an XOR/XNOR factor. Both rules are exact (they never
 //! change the function), so the result always realizes the input ISF.
+//!
+//! Both rules also need the two products to share their variable support:
+//! rule 1 flips one factor over the same variables, rule 2 two literals in
+//! place. So [`SppSynthesizer::merge_cover`] first checks whether any two
+//! cubes of its cover have the same support ([`boolfunc::Cube::mask`]).
+//! When none do, no pair can merge, the first round would change nothing
+//! and so would every later one, and the cover is returned as a form
+//! without running a round. Most espresso covers of a recursive synthesis
+//! take that exit. [`SppSynthesizer::merge_rounds`] is the rounds alone,
+//! the oracle the guarded path must equal.
 
-use boolfunc::{Cover, Isf};
+use boolfunc::{Cover, Cube, Isf};
 use sop::{espresso_isf, EspressoOptions};
 
 use crate::form::SppForm;
@@ -94,8 +104,32 @@ impl SppSynthesizer {
 
     /// The merge rounds of [`SppSynthesizer::improve_cover`] without its
     /// final pruning of covered pseudoproducts.
+    ///
+    /// Equals [`SppSynthesizer::merge_rounds`] of the cover's form, but
+    /// skips the rounds when no two cubes share a variable support. That
+    /// guard is exact: both merge rules pair products over the same
+    /// variables (rule 1 flips one factor, rule 2 two literals in place),
+    /// so over distinct supports the first round merges nothing and the
+    /// rounds stop there with the form unchanged. It is checked once, on
+    /// the cover: after a merge the supports are no longer cube masks.
     pub fn merge_cover(&self, cover: &Cover) -> SppForm {
-        let mut form = SppForm::from_cover(cover);
+        let mut masks: Vec<u64> = cover.iter().map(Cube::mask).collect();
+        masks.sort_unstable();
+        let form = SppForm::from_cover(cover);
+        if masks.windows(2).all(|pair| pair[0] != pair[1]) {
+            return form;
+        }
+        self.merge_rounds(form)
+    }
+
+    /// Merges pairs of pseudoproducts, round after round (at most 16), until
+    /// a round merges nothing.
+    ///
+    /// This is the oracle of [`SppSynthesizer::merge_cover`]'s shared-support
+    /// guard: `merge_cover(c) == merge_rounds(SppForm::from_cover(c))` for
+    /// every cover `c`, which the property tests and `synth_sweep`'s `merge`
+    /// arm check.
+    pub fn merge_rounds(&self, mut form: SppForm) -> SppForm {
         for _ in 0..MAX_MERGE_ROUNDS {
             if !self.merge_round(&mut form) {
                 break;
@@ -310,17 +344,15 @@ mod tests {
         }
     }
 
-    /// Espresso's cover, merged, holds no product inside the others, so
-    /// [`SppSynthesizer::synthesize`] (which does not prune) returns what
-    /// [`SppSynthesizer::improve_cover`] (which does) returns. Checked under
-    /// both espresso shapes on `rounds` random ISFs per arity up to
-    /// `max_vars` (on 5–90%, dc 0–60%) and `rounds` cold-shaped ones per
-    /// arity 9–12.
-    fn check_merged_espresso_covers_are_irredundant(rounds: usize, max_vars: usize) {
-        let shapes = [
-            EspressoOptions { max_iterations: 8, use_reduce: true },
-            EspressoOptions { max_iterations: 1, use_reduce: false },
-        ];
+    /// Both espresso shapes the synthesizers of the workspace run.
+    const SHAPES: [EspressoOptions; 2] = [
+        EspressoOptions { max_iterations: 8, use_reduce: true },
+        EspressoOptions { max_iterations: 1, use_reduce: false },
+    ];
+
+    /// `rounds` random ISFs per arity up to `max_vars` (on 5–90%, dc
+    /// 0–60%) and `rounds` cold-shaped ones per arity 9–12, each named.
+    fn espresso_cases(rounds: usize, max_vars: usize) -> Vec<(String, Isf)> {
         let grid = [(5, 0), (20, 40), (50, 10), (90, 0), (35, 60), (70, 30)];
         let mut rng = Lcg(0x1DDE_D0C5);
         let mut cases = Vec::new();
@@ -336,8 +368,16 @@ mod tests {
                 cases.push((format!("n={n} cold #{round}"), rng.cold_isf(n)));
             }
         }
-        for (what, f) in &cases {
-            for espresso in shapes {
+        cases
+    }
+
+    /// Espresso's cover, merged, holds no product inside the others, so
+    /// [`SppSynthesizer::synthesize`] (which does not prune) returns what
+    /// [`SppSynthesizer::improve_cover`] (which does) returns. Checked under
+    /// both espresso shapes on [`espresso_cases`].
+    fn check_merged_espresso_covers_are_irredundant(rounds: usize, max_vars: usize) {
+        for (what, f) in &espresso_cases(rounds, max_vars) {
+            for espresso in SHAPES {
                 let synthesizer = SppSynthesizer { options: SynthesisOptions { espresso } };
                 let form = synthesizer.synthesize(f);
                 assert!(form.matches(f), "{what}, {espresso:?}");
@@ -364,6 +404,113 @@ mod tests {
     #[ignore = "nightly: run with --release --ignored"]
     fn merged_espresso_covers_are_irredundant_deep() {
         check_merged_espresso_covers_are_irredundant(40, 12);
+    }
+
+    /// How the one pair of a crafted cover that shares a support differs.
+    #[derive(Debug, Clone, Copy)]
+    enum SharedPair {
+        /// `C·x + C·x'`: merges by rule 1.
+        OneLiteral,
+        /// `C·xa·xb' + C·xa'·xb`: merges by rule 2.
+        TwoLiterals,
+        /// `C·xa·xb·xc + C·xa'·xb'·xc'`: merges by neither rule.
+        ThreeLiterals,
+    }
+
+    /// A cover on `n ≥ 3` variables whose only two cubes with the same
+    /// support are a [`SharedPair`], placed at random positions among up
+    /// to four filler cubes of pairwise distinct supports.
+    fn crafted_cover(rng: &mut Lcg, n: usize, pair: SharedPair) -> Cover {
+        let flipped = match pair {
+            SharedPair::OneLiteral => 1,
+            SharedPair::TwoLiterals => 2,
+            SharedPair::ThreeLiterals => 3,
+        };
+        let mut vars: Vec<usize> = (0..n).collect();
+        for i in 0..flipped {
+            vars.swap(i, i + rng.below(n - i));
+        }
+        let flip_mask = vars[..flipped].iter().fold(0u64, |m, &v| m | 1 << v);
+        let random_word = |rng: &mut Lcg| (0..n).fold(0u64, |w, v| w | (rng.below(2) as u64) << v);
+        let shared = random_word(rng) & !flip_mask | flip_mask;
+        let base = random_word(rng) & shared & !flip_mask;
+        let (p, q) = match pair {
+            // x + x', and xa·xb' + xa'·xb: the lowest flipped bit is positive
+            // in `p`, the others in `q`.
+            SharedPair::OneLiteral | SharedPair::TwoLiterals => {
+                let low = 1u64 << vars[..flipped].iter().min().unwrap();
+                (base | low, base | flip_mask & !low)
+            }
+            SharedPair::ThreeLiterals => {
+                let polarity = random_word(rng) & flip_mask;
+                (base | polarity, base | flip_mask & !polarity)
+            }
+        };
+        let mut masks = vec![shared];
+        let mut cubes = Vec::new();
+        for _ in 0..rng.below(5) {
+            let mask = random_word(rng);
+            if !masks.contains(&mask) {
+                masks.push(mask);
+                cubes.push(Cube::from_masks(n, mask, random_word(rng) & mask).unwrap());
+            }
+        }
+        for value in [p, q] {
+            let at = rng.below(cubes.len() + 1);
+            cubes.insert(at, Cube::from_masks(n, shared, value).unwrap());
+        }
+        Cover::from_cubes(n, cubes)
+    }
+
+    /// [`SppSynthesizer::merge_cover`]'s shared-support guard against its
+    /// oracle, the unguarded [`SppSynthesizer::merge_rounds`]: on espresso
+    /// covers of [`espresso_cases`] under both shapes, and on `10 · rounds`
+    /// crafted covers per arity 3–12 and kind of [`SharedPair`], where the
+    /// pair must merge (or, for three flipped literals, nothing may).
+    fn check_guard_matches_its_oracle(rounds: usize, max_vars: usize) {
+        let synthesizer = SppSynthesizer::new();
+        let oracle = |cover: &Cover| synthesizer.merge_rounds(SppForm::from_cover(cover));
+        for (what, f) in &espresso_cases(rounds, max_vars) {
+            for espresso in SHAPES {
+                let cover = espresso_isf(f, espresso);
+                assert_eq!(synthesizer.merge_cover(&cover), oracle(&cover), "{what}, {espresso:?}");
+            }
+        }
+        let mut rng = Lcg(0x5EED_6A4D);
+        for n in 3..=12 {
+            for round in 0..10 * rounds {
+                for pair in
+                    [SharedPair::OneLiteral, SharedPair::TwoLiterals, SharedPair::ThreeLiterals]
+                {
+                    let cover = crafted_cover(&mut rng, n, pair);
+                    let what = format!("n={n} {pair:?} #{round}: {cover}");
+                    let merged = synthesizer.merge_cover(&cover);
+                    assert_eq!(merged, oracle(&cover), "{what}");
+                    assert_eq!(merged.to_truth_table(), cover.to_truth_table(), "{what}");
+                    match pair {
+                        SharedPair::ThreeLiterals => {
+                            assert_eq!(merged, SppForm::from_cover(&cover), "{what}")
+                        }
+                        _ => assert!(merged.num_pseudoproducts() < cover.num_cubes(), "{what}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Dense random ISFs stop at 10 inputs here, as in
+    /// [`merged_espresso_covers_are_irredundant`].
+    #[test]
+    fn merge_guard_matches_the_unguarded_rounds() {
+        check_guard_matches_its_oracle(4, 10);
+    }
+
+    /// The nightly variant: ten times the rounds per arity, dense random
+    /// ISFs on 1–12 inputs.
+    #[test]
+    #[ignore = "nightly: run with --release --ignored"]
+    fn merge_guard_matches_the_unguarded_rounds_deep() {
+        check_guard_matches_its_oracle(40, 12);
     }
 
     #[test]
