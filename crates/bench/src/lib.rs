@@ -166,27 +166,35 @@ pub struct ReferenceArm {
 }
 
 impl ReferenceArm {
-    /// Times `fast` and then `oracle` over `items`. Fails with the first
-    /// item index whose results differ, and both results.
+    /// Times `fast` and `oracle` over `items`, alternating the two within
+    /// each repeat and swapping which goes first on every repeat, so that
+    /// neither arm is always the one timed first. Fails with the first
+    /// item index whose results (of the last repeat) differ, and both
+    /// results.
     pub fn measure<T, R: PartialEq>(
         items: &[T],
         repeats: usize,
         fast: impl Fn(&T) -> R,
         oracle: impl Fn(&T) -> R,
     ) -> Result<ReferenceArm, (usize, R, R)> {
-        let time = |run: &dyn Fn(&T) -> R| {
-            let mut best = u64::MAX;
-            let mut results = Vec::new();
-            for _ in 0..repeats {
-                let start = Instant::now();
-                results = items.iter().map(run).collect::<Vec<R>>();
-                best = best.min(start.elapsed().as_micros() as u64);
-            }
-            (best, results)
+        let time = |run: &dyn Fn(&T) -> R, best: &mut u64| {
+            let start = Instant::now();
+            let results = items.iter().map(run).collect::<Vec<R>>();
+            *best = (*best).min(start.elapsed().as_micros() as u64);
+            results
         };
-        let (fast_micros, fast) = time(&fast);
-        let (oracle_micros, oracle) = time(&oracle);
-        match fast.into_iter().zip(oracle).enumerate().find(|(_, (a, b))| a != b) {
+        let (mut fast_micros, mut oracle_micros) = (u64::MAX, u64::MAX);
+        let (mut fast_results, mut oracle_results) = (Vec::new(), Vec::new());
+        for repeat in 0..repeats {
+            if repeat % 2 == 0 {
+                fast_results = time(&fast, &mut fast_micros);
+                oracle_results = time(&oracle, &mut oracle_micros);
+            } else {
+                oracle_results = time(&oracle, &mut oracle_micros);
+                fast_results = time(&fast, &mut fast_micros);
+            }
+        }
+        match fast_results.into_iter().zip(oracle_results).enumerate().find(|(_, (a, b))| a != b) {
             Some((i, (a, b))) => Err((i, a, b)),
             None => Ok(ReferenceArm { items: items.len(), fast_micros, oracle_micros }),
         }
@@ -277,6 +285,34 @@ mod tests {
         let failure =
             ReferenceArm::measure(&items, 1, |&x| x + u64::from(x >= 17), |&x| x).unwrap_err();
         assert_eq!(failure, (17, 18, 17));
+    }
+
+    #[test]
+    fn repeats_alternate_the_arms_and_swap_which_goes_first() {
+        let log = std::cell::RefCell::new(String::new());
+        ReferenceArm::measure(
+            &[0u8; 2],
+            4,
+            |_| log.borrow_mut().push('f'),
+            |_| log.borrow_mut().push('o'),
+        )
+        .expect("both arms return ()");
+        assert_eq!(log.into_inner(), concat!("ffoo", "ooff", "ffoo", "ooff"));
+    }
+
+    #[test]
+    fn each_wall_is_the_fastest_of_its_repeats() {
+        // Each arm sleeps 30 ms on its first run only.
+        let runs = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let slow_once = |count: &std::cell::Cell<u32>| {
+            if count.replace(count.get() + 1) == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+        };
+        let arm = ReferenceArm::measure(&[()], 3, |_| slow_once(&runs.0), |_| slow_once(&runs.1))
+            .expect("both arms return ()");
+        assert_eq!((runs.0.get(), runs.1.get()), (3, 3));
+        assert!(arm.fast_micros < 30_000 && arm.oracle_micros < 30_000, "{arm:?}");
     }
 
     #[test]

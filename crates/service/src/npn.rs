@@ -26,7 +26,10 @@
 //! * **Greedy, larger `n`:** output and input polarities are fixed by
 //!   cofactor weights and variables are ordered by signature vectors; every
 //!   tie forks the candidate set (capped at [`CANDIDATE_CAP`]) and the
-//!   lexicographically smallest materialized encoding wins. Because the
+//!   lexicographically smallest materialized encoding wins. An input the
+//!   function ignores (a *vacuous* one, common in never-repeated requests)
+//!   always ties, but its forks only repeat earlier images, so it takes no
+//!   polarity fork and keeps its order among its tie block. Because the
 //!   candidate set is built from equivariant statistics, all members of an
 //!   NPN class that stay under the cap canonicalize to the same key; a
 //!   capped search is still *sound* (the key is always reached through a
@@ -58,7 +61,8 @@ pub const MAX_EXACT_VARS: usize = 6;
 
 /// Cap on the number of materialized candidates of the greedy search; ties
 /// beyond it are cut off (sound, but may miss hits for pathologically
-/// symmetric functions).
+/// symmetric functions). With vacuous inputs pruned, cold-shaped 9–12-input
+/// functions materialize 8–10 candidates on average, and under 1% reach it.
 pub const CANDIDATE_CAP: usize = 256;
 
 /// An NPN transform: input negation, then input permutation, then optional
@@ -331,7 +335,7 @@ pub fn canonicalize(f: &Isf) -> Canonical {
         let transform = exact_transform(f);
         Canonical { key: CanonicalKey::from_isf(&transform.apply_isf(f)), transform }
     } else {
-        greedy_winner(f)
+        greedy_winner(f, greedy_candidates(f))
     }
 }
 
@@ -603,12 +607,45 @@ pub fn signature(f: &Isf) -> NpnSignature {
     NpnSignature { words: encode(false).min(encode(true)).into_boxed_slice() }
 }
 
+/// The inputs neither the on-set nor the dc-set of `f` depends on, as a
+/// mask: those whose two cofactors are equal word for word (the halves
+/// [`cofactor_weight`] counts), so `O(n · words)`.
+fn vacuous_inputs(f: &Isf) -> u32 {
+    (0..f.num_vars())
+        .filter(|&i| ignores(f.on(), i) && ignores(f.dc(), i))
+        .fold(0, |mask, i| mask | 1 << i)
+}
+
+/// Whether `t` is equal on `x_var = 0` and `x_var = 1`.
+fn ignores(t: &TruthTable, var: usize) -> bool {
+    let words = t.as_words();
+    if var < 6 {
+        let (s, low) = (1u32 << var, NEG_MASKS[var]);
+        words.iter().all(|w| w >> s & low == w & low)
+    } else {
+        let bit = 1 << (var - 6);
+        (0..words.len()).filter(|k| k & bit == 0).all(|k| words[k] == words[k | bit])
+    }
+}
+
 /// The candidate polarity/order skeletons of the greedy search. Every
 /// decision is made from equivariant statistics (cofactor weights), and
 /// every tie *forks* instead of guessing, so the candidate set — and hence
 /// the winning key — is the same for every member of the NPN class (until
 /// [`CANDIDATE_CAP`] truncates a pathologically symmetric function).
+///
+/// Vacuous inputs ([`vacuous_inputs`]) always tie, but take no polarity
+/// fork and keep their order inside a tie block: any other choice repeats
+/// the image of a candidate listed earlier, and the winner is the first
+/// minimal image, so below the cap this search returns the same key and
+/// transform as the unpruned one.
 fn greedy_candidates(f: &Isf) -> Vec<NpnTransform> {
+    forked_candidates(f, vacuous_inputs(f))
+}
+
+/// The candidates of the greedy search with the inputs in `vacuous` pruned
+/// as [`greedy_candidates`] describes; `vacuous = 0` forks on every tie.
+fn forked_candidates(f: &Isf, vacuous: u32) -> Vec<NpnTransform> {
     let n = f.num_vars();
     let on_count = f.on().count_ones();
     let off_count = f.num_minterms_off();
@@ -631,60 +668,29 @@ fn greedy_candidates(f: &Isf) -> Vec<NpnTransform> {
         let mut neg_choices: Vec<u32> = vec![0];
         let mut weights: Vec<(u64, u64)> = Vec::with_capacity(n);
         for i in 0..n {
-            let on1 = cofactor_weight(&base_on, i);
-            let on0 = total_on - on1;
-            let dc1 = cofactor_weight(dc, i);
-            let dc0 = total_dc - dc1;
-            let flip = match (on1, dc1).cmp(&(on0, dc0)) {
-                Ordering::Less => Some(false),
-                Ordering::Greater => Some(true),
-                Ordering::Equal => None, // fork below
-            };
-            match flip {
-                Some(true) => {
-                    for neg in &mut neg_choices {
-                        *neg |= 1 << i;
-                    }
-                    weights.push((on0, dc0));
+            let one = (cofactor_weight(&base_on, i), cofactor_weight(dc, i));
+            let zero = (total_on - one.0, total_dc - one.1);
+            if one > zero {
+                for neg in &mut neg_choices {
+                    *neg |= 1 << i;
                 }
-                Some(false) => weights.push((on1, dc1)),
-                None => {
-                    if neg_choices.len() * 2 <= CANDIDATE_CAP {
-                        let forked: Vec<u32> = neg_choices.iter().map(|neg| neg | 1 << i).collect();
-                        neg_choices.extend(forked);
-                    }
-                    weights.push((on1, dc1));
-                }
+            } else if one == zero && vacuous >> i & 1 == 0 && neg_choices.len() * 2 <= CANDIDATE_CAP
+            {
+                let forked: Vec<u32> = neg_choices.iter().map(|neg| neg | 1 << i).collect();
+                neg_choices.extend(forked);
             }
+            weights.push(one.min(zero));
         }
 
         // Variable order: ascending by (on-weight, dc-weight); equal
         // signatures form blocks whose internal orders all fork.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| weights[i]);
-        let mut blocks: Vec<Vec<usize>> = Vec::new();
-        for &var in &order {
-            match blocks.last_mut() {
-                Some(block) if weights[block[0]] == weights[var] => block.push(var),
-                _ => blocks.push(vec![var]),
-            }
-        }
-        let mut orders: Vec<Vec<usize>> = vec![Vec::with_capacity(n)];
-        for block in &blocks {
-            let arrangements = permutations(block, CANDIDATE_CAP);
-            let mut next = Vec::with_capacity(orders.len() * arrangements.len());
-            for prefix in &orders {
-                for arrangement in &arrangements {
-                    if next.len() >= CANDIDATE_CAP {
-                        break;
-                    }
-                    let mut extended = prefix.clone();
-                    extended.extend_from_slice(arrangement);
-                    next.push(extended);
-                }
-            }
-            orders = next;
-        }
+        let blocks: Vec<u32> = order
+            .iter()
+            .map(|&v| (0..n).filter(|&u| weights[u] == weights[v]).fold(0, |m, u| m | 1 << u))
+            .collect();
+        let orders = tie_orders(&blocks, vacuous, CANDIDATE_CAP);
 
         for neg in &neg_choices {
             for order in &orders {
@@ -694,7 +700,7 @@ fn greedy_candidates(f: &Isf) -> Vec<NpnTransform> {
                 // order[p] = original variable at image position p.
                 let mut perm = vec![0u8; n];
                 for (p, &orig) in order.iter().enumerate() {
-                    perm[orig] = p as u8;
+                    perm[orig as usize] = p as u8;
                 }
                 transforms.push(NpnTransform { perm, input_neg: *neg, output_neg });
             }
@@ -709,14 +715,14 @@ fn greedy_candidates(f: &Isf) -> Vec<NpnTransform> {
 /// are built once; each candidate permutes copies of them in two reused
 /// buffers, and its dc-set is only permuted when its on-set does not
 /// already lose.
-fn greedy_winner(f: &Isf) -> Canonical {
+fn greedy_winner(f: &Isf, candidates: Vec<NpnTransform>) -> Canonical {
     let off = f.off();
     let base_on = |t: &NpnTransform| if t.output_neg { off.as_words() } else { f.on().as_words() };
     let len = off.as_words().len();
     let (mut on, mut dc) = (vec![0u64; len], vec![0u64; len]);
     let (mut best_on, mut best_dc) = (vec![0u64; len], vec![0u64; len]);
     let mut best: Option<NpnTransform> = None;
-    for transform in greedy_candidates(f) {
+    for transform in candidates {
         on.copy_from_slice(base_on(&transform));
         transform.permute_words(&mut on);
         let order = if best.is_some() { on.cmp(&best_on) } else { Ordering::Less };
@@ -738,27 +744,42 @@ fn greedy_winner(f: &Isf) -> Canonical {
     }
 }
 
-/// The first `limit` orderings of `items` (the tie-block enumerator) in
-/// lexicographic order of their positions in `items`: each head in turn,
-/// then the orderings of the rest. The caller uses at most
-/// [`CANDIDATE_CAP`] of them, so a block of `k` tied variables costs at
-/// most that many orderings instead of `k!`.
-fn permutations(items: &[usize], limit: usize) -> Vec<Vec<usize>> {
-    let mut index: Vec<usize> = (0..items.len()).collect();
-    let mut out = Vec::new();
-    loop {
-        out.push(index.iter().map(|&i| items[i]).collect());
-        // Step `index` to its lexicographic successor, if any.
-        let Some(p) = (1..index.len()).rev().find(|&p| index[p - 1] < index[p]) else {
-            break;
+/// The first `limit` variable orders of the greedy search, depth first:
+/// position `p` takes, in ascending index order, each variable of
+/// `blocks[p]` (the mask of the tie block position `p` falls in) not placed
+/// yet. So the orders list the blocks in turn, each block arranged in every
+/// way, in lexicographic order of the variable indices; a block of `k`
+/// tied variables costs at most `limit` orders instead of `k!`. A variable
+/// in `in_order` is only placed once every `in_order` variable of its block
+/// below it is, which filters that sequence without reordering it.
+fn tie_orders(blocks: &[u32], in_order: u32, limit: usize) -> Vec<Vec<u8>> {
+    fn walk(
+        blocks: &[u32],
+        in_order: u32,
+        limit: usize,
+        prefix: &mut Vec<u8>,
+        used: u32,
+        out: &mut Vec<Vec<u8>>,
+    ) {
+        let Some(&block) = blocks.get(prefix.len()) else {
+            out.push(prefix.clone());
+            return;
         };
-        if out.len() >= limit {
-            break;
+        let free = block & !used;
+        let mut rest = free;
+        while rest != 0 && out.len() < limit {
+            let v = rest.trailing_zeros();
+            rest &= rest - 1;
+            if in_order >> v & 1 == 1 && free & in_order & ((1 << v) - 1) != 0 {
+                continue;
+            }
+            prefix.push(v as u8);
+            walk(blocks, in_order, limit, prefix, used | 1 << v, out);
+            prefix.pop();
         }
-        let q = (p..index.len()).rev().find(|&q| index[q] > index[p - 1]).expect("index[p] is");
-        index.swap(p - 1, q);
-        index[p..].reverse();
     }
+    let mut out = Vec::new();
+    walk(blocks, in_order, limit, &mut Vec::with_capacity(blocks.len()), 0, &mut out);
     out
 }
 
@@ -776,7 +797,7 @@ impl OffCount for Isf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use benchmarks::DetRng;
+    use benchmarks::{cold, DetRng};
 
     fn random_isf(rng: &mut DetRng, n: usize, with_dc: bool) -> Isf {
         let on = TruthTable::from_words(n, || rng.next_u64());
@@ -789,12 +810,18 @@ mod tests {
         Isf::new(on, dc).unwrap()
     }
 
-    fn random_transform(rng: &mut DetRng, n: usize) -> NpnTransform {
-        let mut perm: Vec<u8> = (0..n as u8).collect();
+    /// `0..n` in a random order (Fisher–Yates).
+    fn shuffled(rng: &mut DetRng, n: usize) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             perm.swap(i, j);
         }
+        perm
+    }
+
+    fn random_transform(rng: &mut DetRng, n: usize) -> NpnTransform {
+        let perm = shuffled(rng, n).into_iter().map(|p| p as u8).collect();
         NpnTransform::new(perm, (rng.next_u64() as u32) & ((1 << n) - 1), rng.next_u64() & 1 == 1)
     }
 
@@ -908,9 +935,9 @@ mod tests {
         }
     }
 
-    /// The recursive enumeration `permutations` replaced: every ordering,
-    /// each head in turn, then the orderings of the rest.
-    fn all_orderings(items: &[usize]) -> Vec<Vec<usize>> {
+    /// Every ordering of `items`, each head in turn, then the orderings of
+    /// the rest: the sequence [`tie_orders`] lists one block of.
+    fn all_orderings(items: &[u8]) -> Vec<Vec<u8>> {
         if items.len() <= 1 {
             return vec![items.to_vec()];
         }
@@ -927,15 +954,170 @@ mod tests {
     }
 
     #[test]
-    fn permutations_list_a_prefix_of_the_full_enumeration() {
+    fn tie_orders_list_a_prefix_of_the_filtered_full_enumeration() {
         for k in 0..=7usize {
-            let items: Vec<usize> = (0..k).map(|i| (i * 5 + 3) % 11).collect();
-            let all = all_orderings(&items);
-            for limit in [1, 2, 5, 24, CANDIDATE_CAP, usize::MAX] {
-                let expected = &all[..all.len().min(limit)];
-                assert_eq!(permutations(&items, limit), expected, "k={k} limit={limit}");
+            let mut items: Vec<u8> = (0..k as u8).map(|i| (i * 5 + 3) % 11).collect();
+            items.sort_unstable();
+            let mask = |vars: &[u8]| vars.iter().fold(0u32, |m, &v| m | 1 << v);
+            let evens: Vec<u8> = items.iter().copied().step_by(2).collect();
+            // Two tie blocks split at `split`, down to one (`split == k`).
+            for split in 1.max(k / 2)..=k.max(1) {
+                let (a, b) = items.split_at(split.min(k));
+                let blocks: Vec<u32> =
+                    (0..k).map(|p| if p < a.len() { mask(a) } else { mask(b) }).collect();
+                for in_order in [0, mask(&evens), mask(&items)] {
+                    // Within each block the `in_order` variables keep ascending.
+                    let keeps_order = |order: &Vec<u8>| {
+                        [a, b].iter().all(|block| {
+                            let kept: Vec<u8> = order
+                                .iter()
+                                .copied()
+                                .filter(|v| block.contains(v) && in_order >> v & 1 == 1)
+                                .collect();
+                            kept.windows(2).all(|w| w[0] < w[1])
+                        })
+                    };
+                    let expected: Vec<Vec<u8>> = all_orderings(a)
+                        .into_iter()
+                        .flat_map(|x| {
+                            all_orderings(b).into_iter().map(move |y| [&x[..], &y].concat())
+                        })
+                        .filter(keeps_order)
+                        .collect();
+                    for limit in [1, 2, 5, 24, CANDIDATE_CAP, usize::MAX] {
+                        assert_eq!(
+                            tie_orders(&blocks, in_order, limit),
+                            &expected[..expected.len().min(limit)],
+                            "k={k} split={split} in_order={in_order:#x} limit={limit}"
+                        );
+                    }
+                }
             }
         }
+    }
+
+    /// `g` over `used.len()` inputs as a function over `n`: input `j` of `g`
+    /// is read from input `used[j]`, and every other input is vacuous.
+    fn embed(g: &Isf, n: usize, used: &[usize]) -> Isf {
+        let table = |t: &TruthTable| {
+            let mut out = TruthTable::zero(n);
+            for m in 0..1u64 << n {
+                let inner = used.iter().enumerate().fold(0, |x, (j, &u)| x | (m >> u & 1) << j);
+                out.set(m, t.get(inner));
+            }
+            out
+        };
+        Isf::new(table(g.on()), table(g.dc())).unwrap()
+    }
+
+    #[test]
+    fn vacuous_inputs_match_a_per_minterm_check() {
+        let mut rng = DetRng::seed_from_u64(0x7AC0);
+        for n in 7..=12usize {
+            for vacuous in 0..=4 {
+                let used = shuffled(&mut rng, n)[..n - vacuous].to_vec();
+                let f = embed(&cold::random_isf(&mut rng, n - vacuous), n, &used);
+                let expected = (0..n)
+                    .filter(|&i| {
+                        (0..1u64 << n).all(|m| {
+                            f.on().get(m) == f.on().get(m ^ 1 << i)
+                                && f.dc().get(m) == f.dc().get(m ^ 1 << i)
+                        })
+                    })
+                    .fold(0u32, |mask, i| mask | 1 << i);
+                assert_eq!(vacuous_inputs(&f), expected, "n={n} used={used:?}");
+                let unused = (0..n).filter(|i| !used.contains(i)).fold(0u32, |m, i| m | 1 << i);
+                assert_eq!(expected & unused, unused, "n={n} used={used:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_the_unpruned_oracle_below_the_cap() {
+        let mut rng = DetRng::seed_from_u64(0x9A7E);
+        let mut corpus = Vec::new();
+        for n in 7..=14usize {
+            for _ in 0..4 {
+                corpus.push(random_isf(&mut rng, n, true));
+            }
+        }
+        for n in 7..=12usize {
+            for _ in 0..40 {
+                corpus.push(cold::random_isf(&mut rng, n));
+            }
+        }
+        for vacuous in 1..=5usize {
+            for case in 0..24usize {
+                let n = 7 + case % 6;
+                let k = n - vacuous;
+                let g = if case % 2 == 0 {
+                    random_isf(&mut rng, k, true)
+                } else {
+                    cold::random_isf(&mut rng, k)
+                };
+                corpus.push(embed(&g, n, &shuffled(&mut rng, n)[..k]));
+            }
+        }
+        let (mut compared, mut in_word, mut word_index) = (0, 0, 0);
+        for (i, f) in corpus.iter().enumerate() {
+            let full = forked_candidates(f, 0);
+            if full.len() >= CANDIDATE_CAP {
+                continue;
+            }
+            assert_eq!(canonicalize(f), greedy_winner(f, full), "case #{i}, n={}", f.num_vars());
+            compared += 1;
+            let mask = vacuous_inputs(f);
+            in_word += usize::from(mask & 0x3f != 0);
+            word_index += usize::from(mask >> 6 != 0);
+        }
+        assert!(compared >= 280, "only {compared} of {} functions compared", corpus.len());
+        assert!(
+            in_word >= 50 && word_index >= 50,
+            "vacuous below 6: {in_word}, at 6 and up: {word_index}"
+        );
+    }
+
+    /// A 12-input function on 6 used inputs: the unpruned search forks on
+    /// the six vacuous inputs' polarities and orders, so it always caps.
+    /// Those whose pruned search fits under the cap must canonicalize every
+    /// NPN variant to one key.
+    #[test]
+    fn pruned_search_is_class_invariant_where_the_unpruned_one_capped() {
+        let mut rng = DetRng::seed_from_u64(0x0C_A9ED);
+        let mut invariant = 0;
+        for case in 0..8 {
+            let g = random_isf(&mut rng, 6, true);
+            let f = embed(&g, 12, &shuffled(&mut rng, 12)[..6]);
+            assert_eq!(
+                forked_candidates(&f, 0).len(),
+                CANDIDATE_CAP,
+                "case {case}: the full search caps"
+            );
+            if greedy_candidates(&f).len() >= CANDIDATE_CAP {
+                continue;
+            }
+            let canon = canonicalize(&f);
+            assert_eq!(CanonicalKey::from_isf(&canon.transform.apply_isf(&f)), canon.key);
+            for _ in 0..20 {
+                let variant = random_transform(&mut rng, 12).apply_isf(&f);
+                assert_eq!(canonicalize(&variant).key, canon.key, "case {case}");
+            }
+            invariant += 1;
+        }
+        assert!(invariant >= 6, "only {invariant} of 8 functions fit under the cap");
+    }
+
+    /// A work count, not a timing: reverting the pruning multiplies it.
+    #[test]
+    fn candidate_count_over_cold_functions_is_pinned() {
+        let mut rng = DetRng::seed_from_u64(0xC01D);
+        let (mut pruned, mut full) = (0, 0);
+        for i in 0..400 {
+            let f = cold::random_isf(&mut rng, 9 + i % 4);
+            pruned += greedy_candidates(&f).len();
+            full += forked_candidates(&f, 0).len();
+        }
+        assert_eq!(pruned, 3176, "candidates over 400 cold functions (unpruned: {full})");
     }
 
     #[test]

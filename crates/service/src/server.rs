@@ -97,7 +97,7 @@
 //! the doorkeeper nor the store. Each worker keeps one recursive synthesizer,
 //! which recomputes the quotient subproblems of a synthesis rather than looking
 //! them up: a Table II quotient takes under a microsecond at 9–12 inputs, an
-//! NPN canonicalization 0.03–0.16 ms, and on never-repeated 9–12-input
+//! NPN canonicalization 0.006–0.03 ms, and on never-repeated 9–12-input
 //! functions almost no quotient lookup hits.
 //!
 //! Per-request compute runs under `catch_unwind`; a panicking request is
